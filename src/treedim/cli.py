@@ -51,7 +51,10 @@ from .verify import DEFAULT_SEED, format_table, run_suite
 def _threads(value: int | None) -> int:
     if value is not None:
         return value
-    return int(os.environ.get("MDTREE_THREADS", "1"))
+    raw = os.environ.get("MDTREE_THREADS", "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise TreedimError(f"MDTREE_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _load_pmf(path: str | None) -> OffspringPmf:

@@ -10,7 +10,8 @@ Families:
   cycle-lemma rotation of the offspring walk);
 * uniform labeled trees (random Pruefer sequence, uniformly rooted);
 * linear-attachment growth trees with weight ``rho + chi * children(v)``
-  (prefix-sum sampling, O(log n) per attachment);
+  (uniform picks, edge-endpoint copying or free-slot lists, O(1) per
+  attachment);
 * the continuous-time embedding of the same growth rule (event queue),
   stopped at a fixed size or at an independent exponential "doomsday" time;
 * the increasing-rate exponential clock H used in line-survival analysis.
@@ -176,16 +177,16 @@ class ExpDoomsday:
 REJECTION_BUDGET = 1_000_000
 
 
-def _tree_from_preorder_degrees(degs) -> RootedTree:
+def _tree_from_preorder_degrees(degs: list[int]) -> RootedTree:
     parents: list[int | None] = [None] * len(degs)
-    stack = [(0, int(degs[0]))]
+    stack = [(0, degs[0])]
     for v in range(1, len(degs)):
         while stack[-1][1] == 0:
             stack.pop()
         parent, remaining = stack[-1]
         stack[-1] = (parent, remaining - 1)
         parents[v] = parent
-        stack.append((v, int(degs[v])))
+        stack.append((v, degs[v]))
     return build_from_parents(parents)
 
 
@@ -197,11 +198,13 @@ def sample_conditioned_gw(
 ) -> RootedTree:
     """Critical branching tree conditioned to have exactly ``n`` vertices.
 
-    Draws n offspring counts, rejects unless they sum to n - 1, then applies
-    the unique cyclic rotation whose walk stays nonnegative until the final
-    step and builds the ordered tree in depth-first order.  Exact in
-    distribution; acceptance probability is Theta(n^-1/2) for finite-variance
-    critical offspring.
+    Draws count vectors of n offspring draws, O(K) each for K offspring
+    values, until the counts add up to n - 1 children; shuffles the counts
+    into a sequence, applies the unique cyclic rotation whose walk stays
+    nonnegative until the final step and builds the ordered tree in
+    depth-first order (Devroye, SIAM J. Comput. 41(1), 2012).  Exact: given
+    its counts, an i.i.d. sequence is a uniform arrangement of them.
+    Acceptance is Theta(n^-1/2) for finite-variance critical offspring.
     """
     if n < 1:
         raise InvalidParams(f"tree size must be >= 1, got {n}")
@@ -217,24 +220,23 @@ def sample_conditioned_gw(
             f"no length-{n} offspring sequence sums to {n - 1}: support lattice "
             f"has span {g}"
         )
-    cdf = np.cumsum(np.asarray(pmf.probs))
-    cdf[-1] = 1.0  # guard the top bucket against cumulative rounding
-    # Acceptance decays like n^-1/2, so small trees need only a few tries.
-    batch = 16 if n < 100 else max(16, min(1024, 262_144 // n))
+    probs = np.asarray(pmf.probs)
+    values = np.arange(probs.size)
+    # Acceptance is about (2 pi sigma^2 n)^-1/2, so a batch of sqrt(n)
+    # attempts often holds a hit.
+    batch = max(16, math.isqrt(n))
     attempts = 0
     while attempts < rejection_budget:
-        batch = min(batch, rejection_budget - attempts)
-        draws = np.searchsorted(cdf, rng.random((batch, n)), side="right")
-        attempts += batch
-        sums = draws.sum(axis=1)
-        hits = np.nonzero(sums == n - 1)[0]
+        size = min(batch, rejection_budget - attempts)
+        counts = rng.multinomial(n, probs, size=size)
+        attempts += size
+        hits = np.flatnonzero(counts @ values == n - 1)
         if hits.size:
-            degs = draws[int(hits[0])]
-            steps = degs.astype(np.int64) - 1
-            walk = np.cumsum(steps)
-            pivot = int(np.argmin(walk))  # first index attaining the minimum
+            degs = np.repeat(values, counts[hits[0]])
+            rng.shuffle(degs)
+            pivot = int(np.argmin(np.cumsum(degs - 1)))  # first minimum
             rotated = np.concatenate([degs[pivot + 1 :], degs[: pivot + 1]])
-            return _tree_from_preorder_degrees(rotated)
+            return _tree_from_preorder_degrees(rotated.tolist())
     raise UnreachableSize(
         f"no size-{n} tree found within {rejection_budget} attempts"
     )
@@ -245,18 +247,14 @@ def sample_conditioned_gw(
 # ---------------------------------------------------------------------------
 
 
-def _prufer_edges(seq: np.ndarray, n: int) -> list[tuple[int, int]]:
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    edges = []
-    ptr = 0
-    while degree[ptr] != 1:
-        ptr += 1
+def _prufer_parents(seq: np.ndarray, n: int) -> list[int | None]:
+    """Decode a Pruefer sequence into the parent array rooted at n - 1."""
+    degree = (np.bincount(seq, minlength=n) + 1).tolist()
+    parents: list[int | None] = [None] * n
+    ptr = degree.index(1)
     leaf = ptr
-    for v in seq:
-        v = int(v)
-        edges.append((leaf, v))
+    for v in seq.tolist():
+        parents[leaf] = v
         degree[v] -= 1
         if degree[v] == 1 and v < ptr:
             leaf = v
@@ -265,37 +263,26 @@ def _prufer_edges(seq: np.ndarray, n: int) -> list[tuple[int, int]]:
             while degree[ptr] != 1:
                 ptr += 1
             leaf = ptr
-    edges.append((leaf, n - 1))
-    return edges
+    parents[leaf] = n - 1
+    return parents
 
 
 def sample_uniform_tree(n: int, rng: np.random.Generator) -> RootedTree:
     """Uniform labeled tree on n vertices, rooted at a uniform vertex.
 
-    Decodes a uniform Pruefer sequence of length n - 2.
+    Decodes a uniform Pruefer sequence of length n - 2, which is exact
+    because decoding is a bijection onto the n^(n-2) labeled trees.
     """
     if n < 1:
         raise InvalidParams(f"tree size must be >= 1, got {n}")
     if n == 1:
         return build_from_parents([None])
-    seq = rng.integers(0, n, size=n - 2) if n > 2 else np.empty(0, dtype=int)
-    edges = _prufer_edges(seq, n)
-    root = int(rng.integers(0, n))
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    parents: list[int | None] = [None] * n
-    seen = [False] * n
-    seen[root] = True
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                parents[w] = v
-                stack.append(w)
+    seq = rng.integers(0, n, size=n - 2) if n > 2 else np.empty(0, dtype=np.int64)
+    parents = _prufer_parents(seq, n)
+    # Re-root at a uniform vertex by reversing its path to n - 1.
+    prev, v = None, int(rng.integers(0, n))
+    while v is not None:
+        parents[v], prev, v = prev, v, parents[v]
     return build_from_parents(parents)
 
 
@@ -304,62 +291,62 @@ def sample_uniform_tree(n: int, rng: np.random.Generator) -> RootedTree:
 # ---------------------------------------------------------------------------
 
 
-class _Fenwick:
-    """Prefix-sum structure over nonnegative float weights."""
+def _copy_attach(rho: float, n: int, rng: np.random.Generator) -> list[int]:
+    """Parents of 1..n-1 under weight rho + children(u), whose total is
+    rho v + v - 1 when v vertices are present: v picks a uniform earlier
+    vertex with probability rho v / (rho v + v - 1), else the parent of a
+    uniform earlier non-root vertex, which is u with probability
+    children(u) / (v - 1) (Batagelj & Brandes, Phys. Rev. E 71, 036113, 2005).
+    """
+    v = np.arange(1, n)
+    u = rng.random((2, n - 1))
+    direct = u[0] * (rho * v + v - 1) < rho * v
+    # src[v] is the parent of v once resolved, else the vertex v copies.
+    src = np.zeros(n, dtype=np.int64)
+    src[1:] = np.where(direct, u[1] * v, 1 + u[1] * (v - 1)).astype(np.int64)
+    copy = np.concatenate(([False], ~direct))
+    # Pointer jumping: O(log n) rounds resolve every copy chain.
+    pending = np.flatnonzero(copy)
+    while pending.size:
+        w = src[pending]
+        src[pending] = src[w]
+        copy[pending] = copy[w]
+        pending = pending[copy[pending]]
+    return src[1:].tolist()
 
-    def __init__(self, size: int):
-        self._n = size
-        self._tree = [0.0] * (size + 1)
-        self._weights = [0.0] * size
-        self.total = 0.0
-        self._top = 1
-        while self._top * 2 <= size:
-            self._top *= 2
 
-    def add(self, i: int, w: float) -> None:
-        self._weights[i] += w
-        self.total += w
-        i += 1
-        while i <= self._n:
-            self._tree[i] += w
-            i += i & (-i)
-
-    def find(self, u: float) -> int:
-        """Smallest index whose prefix sum exceeds ``u``."""
-        idx = 0
-        bit = self._top
-        rem = u
-        while bit:
-            nxt = idx + bit
-            if nxt <= self._n and self._tree[nxt] <= rem:
-                idx = nxt
-                rem -= self._tree[nxt]
-            bit >>= 1
-        return idx
-
-    def sample(self, rng: np.random.Generator) -> int:
-        # Rounding can land u on a zero-weight boundary; redraw in that case.
-        while True:
-            idx = self.find(rng.random() * self.total)
-            if idx < self._n and self._weights[idx] > 0.0:
-                return idx
+def _slot_attach(m: int, n: int, rng: np.random.Generator) -> list[int]:
+    """Parents of 1..n-1 under weight m - children(u): each vertex owns m
+    slots, and v fills a uniform one of the (m - 1) v + 1 free slots, which
+    it overwrites with one of its own m slots before appending the rest.
+    """
+    picks = (rng.random(n - 1) * ((m - 1) * np.arange(1, n) + 1)).astype(np.int64)
+    slots = [0] * m
+    parents = []
+    for child, j in enumerate(picks.tolist(), 1):
+        parents.append(slots[j])
+        slots[j] = child
+        slots += [child] * (m - 1)
+    return parents
 
 
 def sample_pa_tree(params: PAParams, n: int, rng: np.random.Generator) -> RootedTree:
     """Grow a tree by attaching vertex i to v with probability proportional
-    to rho + chi * children(v)."""
+    to rho + chi * children(v).
+
+    Exact at O(1) work per vertex: chi = 0 attaches to a uniform earlier
+    vertex, chi = +1 mixes that with copying the parent end of a uniform
+    edge, and chi = -1 fills a uniform free slot.
+    """
     if n < 1:
         raise InvalidParams(f"tree size must be >= 1, got {n}")
-    rho, chi = params.rho, params.chi
-    parents: list[int | None] = [None] * n
-    weights = _Fenwick(n)
-    weights.add(0, rho)
-    for v in range(1, n):
-        parent = weights.sample(rng)
-        parents[v] = parent
-        weights.add(parent, chi)
-        weights.add(v, rho)
-    return build_from_parents(parents)
+    if params.chi == 0:
+        picks = (rng.random(n - 1) * np.arange(1, n)).astype(np.int64).tolist()
+    elif params.chi == 1:
+        picks = _copy_attach(params.rho, n, rng)
+    else:
+        picks = _slot_attach(int(params.rho), n, rng)
+    return build_from_parents([None, *picks])
 
 
 # ---------------------------------------------------------------------------

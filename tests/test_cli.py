@@ -144,6 +144,15 @@ class TestExperiment:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("value", ["two", "1.5", "0", "-3"])
+    def test_threads_env_rejects_bad_value(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("MDTREE_THREADS", value)
+        code, _, err = run(
+            capsys, "experiment", "--model", "uniform", "-n", "20", "--trials", "2",
+            "--seed", "9",
+        )
+        assert code == 2 and "MDTREE_THREADS" in err and repr(value) in err
+
 
 class TestVerify:
     def test_constants_suite_passes(self, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 
@@ -26,6 +27,7 @@ from treedim import (
 )
 from treedim.errors import InvalidParams, InvalidPmf, UnreachableSize
 from treedim.fringe import subtree_sizes
+from treedim.verify import EMBEDDING_PARAMS, FIGURE_GRID
 
 
 def shape_key(tree):
@@ -70,6 +72,72 @@ def gw_shape_distribution(pmf, n):
             weights[shape] = w
     total = sum(weights.values())
     return {shape: w / total for shape, w in weights.items()}
+
+
+def increasing_tree_law(rho, chi, n):
+    """Exact law of the parent tuple (of vertices 1..n-1) of the growth tree.
+
+    Each step multiplies by weight / total weight, weight(u) being
+    rho + chi * children(u) at the time of the attachment.
+    """
+    law = {(): 1.0}
+    for v in range(1, n):
+        grown = {}
+        for parents, p in law.items():
+            kids = Counter(parents)
+            weights = [rho + chi * kids[u] for u in range(v)]
+            total = sum(weights)
+            for u, w in enumerate(weights):
+                if w > 0:
+                    grown[parents + (u,)] = p * w / total
+        law = grown
+    return law
+
+
+def chi2_pvalue(counts, law, trials):
+    """Chi-square p-value of observed keys against an exact law.
+
+    Cells are taken in increasing probability and pooled into groups of
+    expected count >= 5.  A key outside the law's support fails outright.
+    """
+    assert set(counts) <= set(law), set(counts) - set(law)
+    groups = []
+    obs = exp = 0.0
+    for key in sorted(law, key=law.get):
+        obs += counts[key]
+        exp += trials * law[key]
+        if exp >= 5:
+            groups.append((obs, exp))
+            obs = exp = 0.0
+    if exp:
+        last_obs, last_exp = groups.pop()
+        groups.append((last_obs + obs, last_exp + exp))
+    stat = sum((o - e) ** 2 / e for o, e in groups)
+    return scipy.stats.chi2.sf(stat, len(groups) - 1)
+
+
+POISSON = OffspringPmf.poisson(1.0)
+GEOMETRIC = OffspringPmf.geometric(0.5)
+
+
+def _pa_sampler(rho, chi):
+    params = PAParams(rho, chi)
+    return lambda n, rng: sample_pa_tree(params, n, rng)
+
+
+def _cmj_sampler(rho, chi):
+    params = PAParams(rho, chi)
+    return lambda n, rng: simulate_cmj(params, FixedSize(n), rng).tree
+
+
+# Every sampler, as (n, rng) -> RootedTree.
+SAMPLERS = {
+    "gw-poisson": lambda n, rng: sample_conditioned_gw(POISSON, n, rng),
+    "gw-geometric": lambda n, rng: sample_conditioned_gw(GEOMETRIC, n, rng),
+    "uniform": sample_uniform_tree,
+    **{f"pa({rho},{chi})": _pa_sampler(rho, chi) for rho, chi, _, _ in FIGURE_GRID},
+    **{f"cmj({rho},{chi})": _cmj_sampler(rho, chi) for rho, chi in EMBEDDING_PARAMS},
+}
 
 
 class TestRngSpec:
@@ -404,3 +472,97 @@ class TestFringeLLN:
         pk = count_subtree_property(tree, is_pk) / tree.n
         assert abs(pl - math.exp(-1)) <= 0.01
         assert abs(pk - gw_pk_prob(pmf)) <= 0.01
+
+
+class TestGoldenStreams:
+    """sha256 of the serialized trees drawn from ``RngSpec(SEED).stream(n)``
+    for each n in SIZES.  A changed digest is a changed stream: update it
+    only on purpose, and record the change in CHANGES.md."""
+
+    SEED = 20260
+    SIZES = (1, 2, 40, 1000)
+    DIGESTS = {
+        "gw-poisson": "5ffd39bd1b5e890e63993f6d24ace4a34659c48f55557acc81f86dbf397d56c1",
+        "gw-geometric": "816e7abbda4f7fc9f5ad64ebd02c373ff532bffc2c459181d6f44213395f0e6d",
+        "uniform": "b8a745ad372cfebd75bd6d4d6c9a14cc8218862615fbeb1652cdff36eea43754",
+        "pa(2.0,-1)": "6297f039791585b4f69e627e08e0ad1a3cb126827ec10259c48d9d8414cc7901",
+        "pa(3.0,-1)": "7022795b444f0eb11ad245f337a98d49621ba2ecf18a6643777c3bd1bc9a1a2c",
+        "pa(4.0,-1)": "a41053cf3ecfa75d30b9324b738100cba7dde39365716a30fe56f5c6367b8893",
+        "pa(5.0,-1)": "b3a6ba7fa00918103c8107b14884cb4c52b1c331bf48d92f06a08e254ba6a819",
+        "pa(1.0,0)": "0b01eb1ea3d114a1d3d674b21998b062c13428a8a254f0c27cffdc841ba9c985",
+        "pa(2.0,1)": "741668e1522dcc0cf9ab4f2b566e2b2c8b8c72ea453b9cc8ff35a6dfc92bacff",
+        "pa(1.0,1)": "693bb936ba17b8813a4de85022df22579c0971fbd64be97b3c20d7227ad91eff",
+        "pa(0.5,1)": "ff4b3481ebd79e932746a6c35024b708adedcc8273aac0a251bc0bd90e93076c",
+        "pa(0.1,1)": "823ef891754472099dd3768116564d9ec89999c145f8781511fb806bb1b7cab1",
+        "cmj(2.0,-1)": "5772d6cb6a64ba9d9802f450f82eef1179f31040b8cb874dc90db7397b6482fc",
+        "cmj(1.0,0)": "2d9844a2d10558be09092929e7a7a4b8f90ac1d68ca80259ff06121f9b09e81e",
+        "cmj(1.0,1)": "26ed5952c2ddb7667f16b8aa0cd69eff4f74fe62bac1d41c34ec41b0ba16182b",
+    }
+
+    def test_every_sampler_is_pinned(self):
+        assert set(self.DIGESTS) == set(SAMPLERS)
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_digest(self, name):
+        digest = hashlib.sha256()
+        for n in self.SIZES:
+            tree = SAMPLERS[name](n, RngSpec(self.SEED).stream(n))
+            digest.update(serialize(tree).encode())
+        assert digest.hexdigest() == self.DIGESTS[name]
+
+
+class TestExactLaws:
+    """Samples at n = 5 against the exact enumerated laws."""
+
+    TRIALS = 40_000
+
+    @pytest.mark.parametrize("rho,chi", [(rho, chi) for rho, chi, _, _ in FIGURE_GRID])
+    def test_growth_tree_law(self, rho, chi):
+        law = increasing_tree_law(rho, chi, 5)
+        assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
+        params = PAParams(rho, chi)
+        rng = RngSpec(27).stream(int(10 * rho) + chi)
+        counts = Counter(
+            sample_pa_tree(params, 5, rng).parents[1:] for _ in range(self.TRIALS)
+        )
+        p_value = chi2_pvalue(counts, law, self.TRIALS)
+        assert p_value > 1e-3, (rho, chi, p_value)
+
+    def test_geometric_gw_shape_law(self):
+        law = gw_shape_distribution(GEOMETRIC, 5)
+        assert len(law) == 14
+        rng = RngSpec(28).stream(0)
+        counts = Counter(
+            shape_key(sample_conditioned_gw(GEOMETRIC, 5, rng))
+            for _ in range(self.TRIALS)
+        )
+        p_value = chi2_pvalue(counts, law, self.TRIALS)
+        assert p_value > 1e-3, p_value
+
+
+@pytest.fixture
+def nx():
+    return pytest.importorskip("networkx")
+
+
+def edge_set(tree):
+    return {frozenset((v, p)) for v, p in enumerate(tree.parents) if p is not None}
+
+
+class TestNetworkxOracle:
+    @pytest.mark.parametrize("name", sorted(SAMPLERS))
+    def test_every_sampler_outputs_a_tree(self, nx, name):
+        for n in (1, 2, 3, 10, 500):
+            tree = SAMPLERS[name](n, RngSpec(29).stream(n))
+            graph = nx.Graph()
+            graph.add_nodes_from(range(n))
+            graph.add_edges_from(edge_set(tree))
+            assert tree.n == n and nx.is_tree(graph), (name, n)
+
+    def test_uniform_matches_prufer_decoding(self, nx):
+        # the sampler draws the sequence first, then the root
+        for n in (2, 3, 10, 500):
+            seq = RngSpec(30).stream(n).integers(0, n, size=n - 2)
+            tree = sample_uniform_tree(n, RngSpec(30).stream(n))
+            expected = nx.from_prufer_sequence(seq.tolist())
+            assert edge_set(tree) == {frozenset(e) for e in expected.edges}
