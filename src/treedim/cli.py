@@ -15,10 +15,12 @@ import sys
 
 from . import __version__
 from .constants import c_general, c_gw, c_mary, c_rich, c_rrt
-from .errors import TreedimError
+from .errors import InvalidPmf, TreedimError
 from .experiments import (
+    STATISTICS,
     ExperimentConfig,
     GWModel,
+    ModelSpec,
     PAModel,
     UniformModel,
     compare_to_constant,
@@ -32,16 +34,7 @@ from .fringe import (
     is_pk,
     is_pl,
 )
-from .generators import (
-    FixedSize,
-    OffspringPmf,
-    PAParams,
-    RngSpec,
-    sample_conditioned_gw,
-    sample_pa_tree,
-    sample_uniform_tree,
-    simulate_cmj,
-)
+from .generators import FixedSize, OffspringPmf, PAParams, RngSpec, simulate_cmj
 from .metric_dimension import BRUTE_FORCE_CAP, brute_force_md, md_report
 from .quadrature import QuadratureSpec
 from .tree import read_tree, serialize
@@ -64,8 +57,17 @@ def _load_pmf(path: str | None) -> OffspringPmf:
     """
     if path is None:
         return OffspringPmf.poisson(1.0)
+    probs = []
     with open(path, "r", encoding="utf-8") as fh:
-        probs = [float(line) for line in fh if line.strip()]
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                probs.append(float(line))
+            except ValueError:
+                raise InvalidPmf(
+                    f"{path} line {number}: {line.strip()!r} is not a probability"
+                ) from None
     return OffspringPmf.from_probs(probs)
 
 
@@ -85,16 +87,20 @@ def _pa_params(args) -> PAParams:
     return PAParams(args.rho, args.chi)
 
 
+def _model(args) -> ModelSpec:
+    if args.model == "gw":
+        return GWModel(_load_pmf(args.pmf))
+    if args.model == "uniform":
+        return UniformModel()
+    return PAModel(_pa_params(args))
+
+
 def _cmd_generate(args) -> int:
     rng = RngSpec(args.seed).stream(0)
-    if args.model == "gw":
-        tree = sample_conditioned_gw(_load_pmf(args.pmf), args.n, rng)
-    elif args.model == "uniform":
-        tree = sample_uniform_tree(args.n, rng)
-    elif args.model == "pa":
-        tree = sample_pa_tree(_pa_params(args), args.n, rng)
-    else:  # cmj stopped at the requested size; birth times are dropped
+    if args.model == "cmj":  # stopped at the requested size; birth times are dropped
         tree = simulate_cmj(_pa_params(args), FixedSize(args.n), rng).tree
+    else:
+        tree = _model(args).sample(args.n, rng)
     _write_or_print(serialize(tree), args.out, args.force)
     return 0
 
@@ -158,14 +164,8 @@ def _cmd_constant(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    if args.model == "gw":
-        model = GWModel(_load_pmf(args.pmf))
-    elif args.model == "uniform":
-        model = UniformModel()
-    else:
-        model = PAModel(_pa_params(args))
     config = ExperimentConfig(
-        model=model,
+        model=_model(args),
         n=args.n,
         trials=args.trials,
         master_seed=args.seed,
@@ -257,11 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--trials", type=int, required=True)
     ex.add_argument("--seed", type=int, required=True)
     ex.add_argument("--threads", type=int, help="worker count (default MDTREE_THREADS or 1)")
-    ex.add_argument(
-        "--stat",
-        default="beta_over_n",
-        choices=("beta_over_n", "pl_fraction", "pk_fraction", "fringe_histogram"),
-    )
+    ex.add_argument("--stat", default="beta_over_n", choices=STATISTICS)
     ex.add_argument("--out", help="write results (.csv or .json)")
     ex.add_argument("--force", action="store_true", help="overwrite existing output")
     ex.add_argument("--compare", action="store_true", help="exit nonzero if the mean misses the constant")

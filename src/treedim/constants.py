@@ -21,9 +21,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InvalidPmf, Unsupported
+from .generators import OffspringPmf, check_pa
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, adaptive_simpson
-
-CRITICALITY_TOL = 1e-9
 
 # ---------------------------------------------------------------------------
 # Special functions
@@ -43,6 +42,15 @@ def lower_incomplete_gamma(s: float, t: float) -> float:
         raise DomainError(f"lower_incomplete_gamma requires t >= 0, got {t}")
     if t == 0.0:
         return 0.0
+    try:
+        return _lower_incomplete_gamma(s, t)
+    except OverflowError:
+        raise DomainError(
+            f"lower_incomplete_gamma({s}, {t}) overflows double precision"
+        ) from None
+
+
+def _lower_incomplete_gamma(s: float, t: float) -> float:
     lgam = math.lgamma(s)
     if t < s + 1.0:
         # gamma(s,t) = t^s e^-t sum_k t^k / (s (s+1) ... (s+k))
@@ -99,24 +107,30 @@ class ConstantResult:
     method: str  # closed_form | series | quadrature
 
 
-def _check_pa(rho: float, chi: int) -> None:
-    if chi not in (-1, 0, 1):
-        raise DomainError(f"chi must be -1, 0 or +1, got {chi}")
-    if not rho > 0:
-        raise DomainError(f"rho must be positive, got {rho}")
-    if chi == -1:
-        if float(rho) != int(rho):
-            raise DomainError(f"chi = -1 requires integer rho, got {rho}")
-        if int(rho) == 1:
-            raise DomainError(
-                "rho = 1, chi = -1 grows a deterministic path; the non-path "
-                "formula does not apply"
-            )
+def _check_evaluable(rho: float, chi: int) -> None:
+    """The evaluators' domain: any growth rule but the rho = 1, chi = -1
+    path, with chi = 0 only as random recursive trees (rho = 1)."""
+    if chi == 0:
+        if rho != 1:
+            raise Unsupported(f"chi = 0 is evaluated at rho = 1 only, got rho = {rho}")
+        return
+    check_pa(rho, chi, DomainError)
+    if chi == -1 and rho == 1:
+        raise DomainError(
+            "rho = 1, chi = -1 grows a deterministic path; the non-path "
+            "formula does not apply"
+        )
 
 
 def p_leaf(rho: float, chi: int) -> float:
-    """Probability that the limiting fringe tree is a single vertex."""
-    _check_pa(rho, chi)
+    """Probability that the limiting fringe tree is a single vertex.
+
+    Defined for every chi = 0 rule, not only rho = 1.
+    """
+    if chi == 0:
+        check_pa(rho, chi, DomainError)
+    else:
+        _check_evaluable(rho, chi)
     return (rho + chi) / (2.0 * rho + chi)
 
 
@@ -125,16 +139,9 @@ def p_leaf(rho: float, chi: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _pmf_arrays(pmf):
-    # Accepts an OffspringPmf (duck-typed) to avoid a circular import.
-    return tuple(pmf.probs)
-
-
-def gw_line_prob(pmf) -> float:
+def gw_line_prob(pmf: OffspringPmf) -> float:
     """Probability that an unconditioned branching subtree is a line."""
-    probs = _pmf_arrays(pmf)
-    p0 = probs[0]
-    p1 = probs[1] if len(probs) > 1 else 0.0
+    p0, p1 = pmf.p0, pmf.p1
     if p0 <= 0.0:
         raise InvalidPmf("line probability needs p_0 > 0")
     if p1 >= 1.0:
@@ -144,38 +151,26 @@ def gw_line_prob(pmf) -> float:
     return p0 / (1.0 - p1)
 
 
-def gw_pk_prob(pmf) -> float:
+def gw_pk_prob(pmf: OffspringPmf) -> float:
     """Probability that the unconditioned branching tree has >= 2 root
     children at least one of which heads a line subtree."""
-    probs = _pmf_arrays(pmf)
     q = gw_line_prob(pmf)
-    p1 = probs[1] if len(probs) > 1 else 0.0
-    g = _pgf(probs, 1.0 - q)
-    return 1.0 - g - q * p1
+    return 1.0 - pmf.pgf(1.0 - q) - q * pmf.p1
 
 
-def _pgf(probs, x: float) -> float:
-    acc = 0.0
-    for p in reversed(probs):
-        acc = acc * x + p
-    return acc
-
-
-def c_gw(pmf) -> ConstantResult:
+def c_gw(pmf: OffspringPmf) -> ConstantResult:
     """Limit of (metric dimension / size) for critical conditioned
     branching trees with offspring distribution ``pmf``.
 
     Closed form: p0 - 1 + G(1 - q) + p1 * q with q = p0 / (1 - p1),
     G the offspring generating function.
     """
-    pmf.require_critical(CRITICALITY_TOL)
-    probs = _pmf_arrays(pmf)
-    p0 = probs[0]
-    p1 = probs[1] if len(probs) > 1 else 0.0
+    pmf.require_critical()
+    p0, p1 = pmf.p0, pmf.p1
     if p1 >= 1.0:
         raise InvalidPmf("c_gw needs p_1 < 1")
     q = p0 / (1.0 - p1)
-    value = p0 - 1.0 + _pgf(probs, 1.0 - q) + p1 * q
+    value = p0 - 1.0 + pmf.pgf(1.0 - q) + p1 * q
     return ConstantResult(value=value, abs_error_estimate=1e-14, method="closed_form")
 
 
@@ -205,7 +200,13 @@ def c_mary(m: int) -> ConstantResult:
     """Limit constant for m-slot increasing trees, m >= 2 (m = 2: BSTs)."""
     if int(m) != m or m < 2:
         raise DomainError(f"c_mary requires an integer m >= 2, got {m}")
-    m = int(m)
+    try:
+        return _mary_series(int(m))
+    except OverflowError:
+        raise Unsupported(f"c_mary({m}) overflows double precision") from None
+
+
+def _mary_series(m: int) -> ConstantResult:
     first = sum(
         (m - 1) / ((m - 1 + j) * m**j) * math.comb(m, j) for j in range(1, m + 1)
     )
@@ -259,14 +260,7 @@ def _general_integrals(
 
 def c_rich(rho: float, spec: QuadratureSpec = DEFAULT_SPEC) -> ConstantResult:
     """Limit constant for rich-get-richer trees (chi = +1), any rho > 0."""
-    if not rho > 0:
-        raise DomainError(f"c_rich requires rho > 0, got {rho}")
-    i1, i2, err = _general_integrals(rho, 1, spec)
-    return ConstantResult(
-        value=-1.0 + i1 + i2,
-        abs_error_estimate=max(err, 1e-12),
-        method="quadrature",
-    )
+    return c_general(rho, 1, spec)
 
 
 def c_rrt(spec: QuadratureSpec = DEFAULT_SPEC) -> ConstantResult:
@@ -293,11 +287,9 @@ def c_general(
     incomplete-gamma evaluation :func:`c_mary` is folded into the error
     estimate as a cross-check.
     """
+    _check_evaluable(rho, chi)
     if chi == 0:
-        if rho != 1:
-            raise Unsupported(f"chi = 0 is evaluated at rho = 1 only, got rho = {rho}")
         return c_rrt(spec)
-    _check_pa(rho, chi)
     i1, i2, err = _general_integrals(rho, chi, spec)
     value = -1.0 + i1 + i2
     est = max(err, 1e-12)
@@ -320,11 +312,9 @@ def q_line_prob(rho: float, chi: int, x: float) -> float:
     """
     if not x > 0:
         raise DomainError(f"q_line_prob requires x > 0, got {x}")
+    _check_evaluable(rho, chi)
     if chi == 0:
-        if rho != 1:
-            raise Unsupported(f"chi = 0 is evaluated at rho = 1 only, got rho = {rho}")
         return math.expm1(-math.expm1(-x)) / x
-    _check_pa(rho, chi)
     a = rho + chi
     z_g = math.expm1(chi * x) / chi
     return math.exp(chi * x) * math.expm1(-(rho / a) * math.expm1(-a * x)) / (rho * z_g)
@@ -349,22 +339,18 @@ def root_degree_pgf(rho: float, chi: int, x: float, z: float) -> float:
     Negative binomial for chi = +1, Poisson for chi = 0 (rho = 1),
     binomial for chi = -1.
     """
+    _check_evaluable(rho, chi)
     if chi == 0:
-        if rho != 1:
-            raise Unsupported(f"chi = 0 is evaluated at rho = 1 only, got rho = {rho}")
         return math.exp(-x * (1.0 - z))
-    _check_pa(rho, chi)
     ecx = math.exp(chi * x)
     return (ecx + (1.0 - ecx) * z) ** (-rho / chi)
 
 
 def root_degree_one_prob(rho: float, chi: int, x: float) -> float:
     """P(root has exactly one child at horizon x)."""
+    _check_evaluable(rho, chi)
     if chi == 0:
-        if rho != 1:
-            raise Unsupported(f"chi = 0 is evaluated at rho = 1 only, got rho = {rho}")
         return x * math.exp(-x)
-    _check_pa(rho, chi)
     return -(rho / chi) * (-math.expm1(chi * x)) * math.exp(-x * (rho + chi))
 
 
@@ -402,10 +388,7 @@ def c_from_pk_integral(
     construction that the closed forms compress, so it cross-checks the
     conditional pieces against :func:`c_general`.
     """
-    if chi == 0 and rho != 1:
-        raise Unsupported(f"chi = 0 is evaluated at rho = 1 only, got rho = {rho}")
-    if chi != 0:
-        _check_pa(rho, chi)
+    _check_evaluable(rho, chi)
     a = rho + chi
     limit = _pk_at_infinity(rho, chi)
 

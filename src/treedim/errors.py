@@ -32,6 +32,10 @@ class IndexOutOfRange(TreeStructureError):
     """A parent index falls outside ``0..n-1``."""
 
 
+class TreeFormatError(TreedimError, ValueError):
+    """Tree-file text does not follow the line-oriented format."""
+
+
 class VertexOutOfRange(TreedimError, IndexError):
     """A vertex argument falls outside the tree."""
 

@@ -49,19 +49,68 @@ CSV_COLUMNS = (
 )
 
 
+# Each model samples its family and gives the limit of each scalar
+# statistic; ``name``, ``rho`` and ``chi`` fill the summary row.
+
+
 @dataclass(frozen=True)
 class GWModel:
+    """Critical branching trees conditioned on their size."""
+
     pmf: OffspringPmf
+    name = "gw"
+    rho = chi = None
+
+    def sample(self, n: int, rng) -> RootedTree:
+        return sample_conditioned_gw(self.pmf, n, rng)
+
+    def limit(self, statistic: str) -> float:
+        if statistic == "beta_over_n":
+            return c_gw(self.pmf).value
+        if statistic == "pl_fraction":
+            return self.pmf.p0
+        return gw_pk_prob(self.pmf)
 
 
 @dataclass(frozen=True)
 class UniformModel:
-    pass
+    """Uniform labeled trees: the Poisson(1) branching limits."""
+
+    name = "uniform"
+    rho = chi = None
+
+    def sample(self, n: int, rng) -> RootedTree:
+        return sample_uniform_tree(n, rng)
+
+    def limit(self, statistic: str) -> float:
+        return GWModel(OffspringPmf.poisson(1.0)).limit(statistic)
 
 
 @dataclass(frozen=True)
 class PAModel:
+    """Linear-attachment growth trees."""
+
     params: PAParams
+    name = "pa"
+
+    @property
+    def rho(self) -> float:
+        return self.params.rho
+
+    @property
+    def chi(self) -> int:
+        return self.params.chi
+
+    def sample(self, n: int, rng) -> RootedTree:
+        return sample_pa_tree(self.params, n, rng)
+
+    def limit(self, statistic: str) -> float:
+        rho, chi = self.params.rho, self.params.chi
+        if statistic == "beta_over_n":
+            return c_general(rho, chi).value
+        if statistic == "pl_fraction":
+            return p_leaf(rho, chi)
+        return p_leaf(rho, chi) - c_general(rho, chi).value
 
 
 ModelSpec = GWModel | UniformModel | PAModel
@@ -78,6 +127,8 @@ class ExperimentConfig:
     retain_values: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.model, ModelSpec):
+            raise InvalidParams(f"unknown model {self.model!r}")
         if self.trials < 1:
             raise InvalidParams(f"trials must be >= 1, got {self.trials}")
         if self.n < 2:
@@ -150,43 +201,15 @@ class _Welford:
 
 
 def generate_tree(model: ModelSpec, n: int, rng) -> RootedTree:
-    if isinstance(model, GWModel):
-        return sample_conditioned_gw(model.pmf, n, rng)
-    if isinstance(model, UniformModel):
-        return sample_uniform_tree(n, rng)
-    if isinstance(model, PAModel):
-        return sample_pa_tree(model.params, n, rng)
-    raise InvalidParams(f"unknown model {model!r}")
-
-
-def model_fields(model: ModelSpec) -> tuple[str, float | None, int | None]:
-    if isinstance(model, PAModel):
-        return "pa", model.params.rho, model.params.chi
-    if isinstance(model, GWModel):
-        return "gw", None, None
-    return "uniform", None, None
+    return model.sample(n, rng)
 
 
 def default_reference(config: ExperimentConfig) -> float | None:
     """Limiting value of the configured statistic, when one is defined."""
-    stat = config.statistic
-    if stat == "fringe_histogram":
+    if config.statistic == "fringe_histogram":
         return None
-    model = config.model
     try:
-        if isinstance(model, PAModel):
-            rho, chi = model.params.rho, model.params.chi
-            if stat == "beta_over_n":
-                return c_general(rho, chi).value
-            if stat == "pl_fraction":
-                return p_leaf(rho, chi)
-            return p_leaf(rho, chi) - c_general(rho, chi).value
-        pmf = model.pmf if isinstance(model, GWModel) else OffspringPmf.poisson(1.0)
-        if stat == "beta_over_n":
-            return c_gw(pmf).value
-        if stat == "pl_fraction":
-            return pmf.p0
-        return gw_pk_prob(pmf)
+        return config.model.limit(config.statistic)
     except (DomainError, Unsupported):
         return None
 
@@ -244,11 +267,11 @@ def run_experiment(
     stddev = welford.sample_std
     stderr = stddev / math.sqrt(config.trials)
     mean = welford.mean
-    name, rho, chi = model_fields(config.model)
+    model = config.model
     return ExperimentSummary(
-        model=name,
-        rho=rho,
-        chi=chi,
+        model=model.name,
+        rho=model.rho,
+        chi=model.chi,
         n=config.n,
         trials=config.trials,
         seed=config.master_seed,
@@ -295,21 +318,7 @@ def _format_cell(value) -> str:
 
 
 def summary_row(summary: ExperimentSummary) -> dict:
-    return {
-        "model": summary.model,
-        "rho": summary.rho,
-        "chi": summary.chi,
-        "n": summary.n,
-        "trials": summary.trials,
-        "seed": summary.seed,
-        "mean": summary.mean,
-        "stddev": summary.stddev,
-        "stderr": summary.stderr,
-        "ci_lo": summary.ci_lo,
-        "ci_hi": summary.ci_hi,
-        "constant": summary.constant,
-        "abs_diff": summary.abs_diff,
-    }
+    return {column: getattr(summary, column) for column in CSV_COLUMNS}
 
 
 def export(summaries, fmt: str, path, overwrite: bool = False) -> None:

@@ -127,6 +127,17 @@ class OffspringPmf:
             raise InvalidPmf(f"offspring mean {self.mean!r} is not 1 within {tol}")
 
 
+def check_pa(rho: float, chi: int, error: type[Exception] = InvalidParams) -> None:
+    """Raise ``error`` unless weight rho + chi * children(v) is a growth rule:
+    chi in {-1, 0, +1}, rho > 0, and integer rho when chi = -1."""
+    if chi not in (-1, 0, 1):
+        raise error(f"chi must be -1, 0 or +1, got {chi}")
+    if not rho > 0:
+        raise error(f"rho must be positive, got {rho}")
+    if chi == -1 and float(rho) != int(rho):
+        raise error(f"chi = -1 requires integer rho, got {rho}")
+
+
 @dataclass(frozen=True)
 class PAParams:
     """Attachment-rule parameters: weight(v) = rho + chi * children(v)."""
@@ -135,12 +146,7 @@ class PAParams:
     chi: int
 
     def __post_init__(self):
-        if self.chi not in (-1, 0, 1):
-            raise InvalidParams(f"chi must be -1, 0 or +1, got {self.chi}")
-        if not self.rho > 0:
-            raise InvalidParams(f"rho must be positive, got {self.rho}")
-        if self.chi == -1 and float(self.rho) != int(self.rho):
-            raise InvalidParams(f"chi = -1 requires integer rho, got {self.rho}")
+        check_pa(self.rho, self.chi)
 
 
 @dataclass(frozen=True)

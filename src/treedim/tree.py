@@ -16,6 +16,7 @@ from .errors import (
     IndexOutOfRange,
     MultipleRoots,
     NoRoot,
+    TreeFormatError,
 )
 
 ROOT_TOKEN = "R"
@@ -37,9 +38,6 @@ class RootedTree:
     @property
     def n(self) -> int:
         return len(self.parents)
-
-    def outdeg(self, v: int) -> int:
-        return len(self.children[v])
 
     def adjacency(self) -> list[list[int]]:
         """Neighbour lists of the underlying unrooted graph."""
@@ -162,13 +160,13 @@ def parse(text: str) -> RootedTree:
     """Decode the text format produced by :func:`serialize`, validating fully."""
     rows = [line.strip() for line in text.splitlines() if line.strip()]
     if not rows:
-        raise ValueError("empty tree file")
+        raise TreeFormatError("empty tree file")
     try:
         n = int(rows[0])
     except ValueError:
-        raise ValueError(f"first line must be the vertex count, got {rows[0]!r}")
+        raise TreeFormatError(f"first line must be the vertex count, got {rows[0]!r}")
     if len(rows) - 1 != n:
-        raise ValueError(f"expected {n} vertex lines, found {len(rows) - 1}")
+        raise TreeFormatError(f"expected {n} vertex lines, found {len(rows) - 1}")
     parents: list[int | None] = []
     for line in rows[1:]:
         if line == ROOT_TOKEN:
@@ -177,7 +175,7 @@ def parse(text: str) -> RootedTree:
             try:
                 parents.append(int(line))
             except ValueError:
-                raise ValueError(f"bad parent entry {line!r}")
+                raise TreeFormatError(f"bad parent entry {line!r}")
     return build_from_parents(parents)
 
 

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from itertools import product
 
 from .constants import (
+    c_from_pk_integral,
     c_general,
     c_gw,
     c_mary,
-    c_rich,
     c_rrt,
     h_tail,
     pk_given_x,
@@ -26,6 +26,7 @@ from .constants import (
 )
 from .experiments import (
     ExperimentConfig,
+    GWModel,
     PAModel,
     UniformModel,
     run_experiment,
@@ -38,7 +39,6 @@ from .generators import (
     PAParams,
     RngSpec,
     sample_H,
-    sample_conditioned_gw,
     sample_pa_tree,
     sample_uniform_tree,
     simulate_cmj,
@@ -73,16 +73,14 @@ class CheckResult:
     passed: bool
     expected: str
     observed: str
-    elapsed: float = 0.0
 
 
-def _check(name: str, passed: bool, expected, observed, elapsed=0.0) -> CheckResult:
+def _check(name: str, passed: bool, expected, observed) -> CheckResult:
     return CheckResult(
         name=name,
         passed=bool(passed),
         expected=str(expected),
         observed=str(observed),
-        elapsed=elapsed,
     )
 
 
@@ -157,9 +155,9 @@ def criterion_internal_consistency() -> list[CheckResult]:
                 f"diff {diff:.3g}",
             )
         )
-    diff = abs(c_general(1.0, 1).value - c_rich(1.0).value)
+    diff = abs(c_general(1.0, 1).value - c_from_pk_integral(1.0, 1)[0])
     checks.append(
-        _check("general vs rich dispatch at rho = 1", diff <= 1e-9, "agree to 1e-9", f"diff {diff:.3g}")
+        _check("quadrature vs pk-integral at rho = 1", diff <= 1e-9, "agree to 1e-9", f"diff {diff:.3g}")
     )
     return checks
 
@@ -212,35 +210,19 @@ def criterion_slater_oracle(seed: int = DEFAULT_SEED) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _audit_models(seed: int):
-    pmf = OffspringPmf.poisson(1.0)
-    spec = RngSpec(seed)
-
-    def gw(n, rng):
-        return sample_conditioned_gw(pmf, n, rng)
-
-    def uniform(n, rng):
-        return sample_uniform_tree(n, rng)
-
-    def pa(rho, chi):
-        params = PAParams(rho, chi)
-        return lambda n, rng: sample_pa_tree(params, n, rng)
-
+def criterion_epsilon_audit(seed: int = DEFAULT_SEED, total: int = 10_000) -> list[CheckResult]:
     def cmj(n, rng):
         return simulate_cmj(PAParams(1.0, 1), FixedSize(n), rng).tree
 
-    return spec, [
-        ("gw-poisson", gw),
-        ("uniform", uniform),
-        ("pa(2,-1)", pa(2.0, -1)),
-        ("pa(1,0)", pa(1.0, 0)),
-        ("pa(1,1)", pa(1.0, 1)),
+    models = [
+        ("gw-poisson", GWModel(OffspringPmf.poisson(1.0)).sample),
+        ("uniform", UniformModel().sample),
+        ("pa(2,-1)", PAModel(PAParams(2.0, -1)).sample),
+        ("pa(1,0)", PAModel(PAParams(1.0, 0)).sample),
+        ("pa(1,1)", PAModel(PAParams(1.0, 1)).sample),
         ("cmj(1,1)", cmj),
     ]
-
-
-def criterion_epsilon_audit(seed: int = DEFAULT_SEED, total: int = 10_000) -> list[CheckResult]:
-    spec, models = _audit_models(seed)
+    spec = RngSpec(seed)
     sizes = (10, 100, 1000)
     cells = len(models) * len(sizes)
     quota = -(-total // cells)  # ceil
@@ -499,52 +481,27 @@ def criterion_conditional_oracles(
 # ---------------------------------------------------------------------------
 
 
-def suite_constants(seed: int = DEFAULT_SEED, workers: int = 1) -> list[CheckResult]:
-    return (
-        criterion_closed_forms()
-        + criterion_constants_grid()
-        + criterion_internal_consistency()
-    )
-
-
-def suite_slater(seed: int = DEFAULT_SEED, workers: int = 1) -> list[CheckResult]:
-    return criterion_slater_oracle(seed)
-
-
-def suite_fringe(seed: int = DEFAULT_SEED, workers: int = 1) -> list[CheckResult]:
-    return criterion_epsilon_audit(seed) + criterion_fringe_laws(seed)
-
-
-def suite_embedding(seed: int = DEFAULT_SEED, workers: int = 1) -> list[CheckResult]:
-    return (
-        criterion_embedding_tv(seed)
-        + criterion_h_tail(seed)
-        + criterion_conditional_oracles(seed)
-    )
-
-
-def suite_figure1(seed: int = DEFAULT_SEED, workers: int = 1) -> list[CheckResult]:
-    return criterion_figure1(seed, workers=workers)
-
-
-SUITES = {
-    "constants": suite_constants,
-    "slater": suite_slater,
-    "fringe": suite_fringe,
-    "embedding": suite_embedding,
-    "figure1": suite_figure1,
-}
-
-
 def run_suite(name: str, seed: int = DEFAULT_SEED, workers: int = 1) -> list[CheckResult]:
+    suites = {
+        "constants": lambda: (
+            criterion_closed_forms()
+            + criterion_constants_grid()
+            + criterion_internal_consistency()
+        ),
+        "slater": lambda: criterion_slater_oracle(seed),
+        "fringe": lambda: criterion_epsilon_audit(seed) + criterion_fringe_laws(seed),
+        "embedding": lambda: (
+            criterion_embedding_tv(seed)
+            + criterion_h_tail(seed)
+            + criterion_conditional_oracles(seed)
+        ),
+        "figure1": lambda: criterion_figure1(seed, workers=workers),
+    }
     if name == "all":
-        results = []
-        for suite in SUITES.values():
-            results.extend(suite(seed, workers))
-        return results
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name](seed, workers)
+        return [result for suite in suites.values() for result in suite()]
+    if name not in suites:
+        raise KeyError(f"unknown suite {name!r}; choose from {sorted(suites)} or 'all'")
+    return suites[name]()
 
 
 def format_table(results: list[CheckResult]) -> str:

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from treedim.cli import main
@@ -167,3 +169,62 @@ class TestVerify:
         out = capsys.readouterr().out
         for flag in ("--model", "--trials", "--seed", "--threads", "--stat", "--out", "--compare"):
             assert flag in out
+
+
+class TestGenerateDigests:
+    # sha256 of `treedim generate ... -n 200 --seed 11`; a change here is a
+    # change of a sampler stream and must be recorded as such.
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (("--model", "gw"), "b2eb03be11cb7e67f0a415aa1a5bc30a970f416e73bba1b595d8b49d582ae849"),
+            (("--model", "uniform"), "16fd9839ade343ad871206d29c220253cdae82c10333764c2f42cd9b692442bb"),
+            (
+                ("--model", "pa", "--rho", "2", "--chi", "-1"),
+                "a285d59880160e2c1effe91a56426fc92ae8c0b72e56dddb54666c3207644ffa",
+            ),
+            (
+                ("--model", "cmj", "--rho", "1", "--chi", "1"),
+                "b389302f8a2cceeb6983c9ee4c1e3b9b7cf69b15eefdad18dde7f2a98faec4a6",
+            ),
+        ],
+    )
+    def test_output_is_pinned(self, capsys, args, digest):
+        code, out, _ = run(capsys, "generate", *args, "-n", "200", "--seed", "11")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("command", ["md", "fringe"])
+    @pytest.mark.parametrize("text", ["3\nR\n0\nx\n", ""], ids=["bad-token", "empty"])
+    def test_malformed_tree_file(self, tmp_path, capsys, command, text):
+        target = tmp_path / "bad.tree"
+        target.write_text(text)
+        argv = [command, str(target)]
+        if command == "fringe":
+            argv += ["--property", "pl"]
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["constant", "generate"])
+    def test_non_numeric_pmf_line(self, tmp_path, capsys, command):
+        pmf = tmp_path / "pmf.txt"
+        pmf.write_text("0.5\nhalf\n0.5\n")
+        argv = [command, "--model", "gw", "--pmf", str(pmf)]
+        if command == "generate":
+            argv += ["-n", "5", "--seed", "1"]
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "line 2" in err and "'half'" in err
+
+    def test_mary_constant_overflow(self, capsys):
+        code, _, err = run(capsys, "constant", "--model", "mary", "--m", "200")
+        assert code == 2 and "c_mary(200)" in err
+
+    def test_experiment_without_representable_constant(self, capsys):
+        code, out, _ = run(
+            capsys, "experiment", "--model", "pa", "--rho", "200", "--chi", "-1",
+            "-n", "50", "--trials", "2", "--seed", "1",
+        )
+        assert code == 0
+        assert "mean=" in out and "constant=" not in out

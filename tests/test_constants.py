@@ -52,6 +52,13 @@ class TestIncompleteGamma:
         with pytest.raises(DomainError):
             lower_incomplete_gamma(1, -0.5)
 
+    def test_overflow_is_a_domain_error(self):
+        # Gamma(171) is the last factorial below the largest double.
+        reference = scipy.special.gammainc(171, 300) * math.gamma(171)
+        assert lower_incomplete_gamma(171, 300) == pytest.approx(reference, rel=1e-12)
+        with pytest.raises(DomainError, match=r"\(172, 300\)"):
+            lower_incomplete_gamma(172, 300)
+
 
 class TestTrinomial:
     def test_values(self):
@@ -146,6 +153,12 @@ class TestMaryConstant:
         with pytest.raises(DomainError):
             c_mary(1)
 
+    def test_overflow_is_unsupported(self):
+        assert 0.0 < c_mary(143).value < 1.0
+        for m in (144, 200):
+            with pytest.raises(Unsupported, match=rf"c_mary\({m}\)"):
+                c_mary(m)
+
 
 class TestRRTConstant:
     def test_value(self):
@@ -193,6 +206,12 @@ class TestGeneralConstant:
 
     def test_matches_rich(self):
         assert abs(c_general(1.0, 1).value - c_rich(1.0).value) <= 1e-9
+
+    @pytest.mark.parametrize("rho", [0.1, 0.5, 1.0, 2.0])
+    def test_rich_matches_pk_integral(self, rho):
+        # independent route: the unmerged conditional pieces
+        value, _ = c_from_pk_integral(rho, 1)
+        assert abs(c_general(rho, 1).value - value) <= 1e-12
 
     def test_chi_zero_requires_unit_rho(self):
         with pytest.raises(Unsupported):

@@ -41,6 +41,8 @@ class TestConfig:
             small_config(statistic="nope")
         with pytest.raises(InvalidParams):
             small_config(workers=0)
+        with pytest.raises(InvalidParams):
+            small_config(model=object())
 
 
 class TestReferences:
