@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import IsPath, VertexOutOfRange
 from .metric_dimension import md_report
-from .tree import RootedTree, is_path
+from .tree import RootedTree, line_flags
 
 
 def _check_vertex(tree: RootedTree, v: int) -> None:
@@ -30,19 +30,10 @@ def _check_vertex(tree: RootedTree, v: int) -> None:
 def subtree_sizes(tree: RootedTree) -> list[int]:
     """Size of the hanging subtree of each vertex, in one bottom-up pass."""
     sizes = [1] * tree.n
-    for v in reversed(tree.topological_order()):
+    for v in reversed(tree.order):
         for c in tree.children[v]:
             sizes[v] += sizes[c]
     return sizes
-
-
-def line_flags(tree: RootedTree) -> list[bool]:
-    """Per-vertex flag: is the hanging subtree a line (single vertex counts)."""
-    flags = [False] * tree.n
-    for v in reversed(tree.topological_order()):
-        kids = tree.children[v]
-        flags[v] = len(kids) == 0 or (len(kids) == 1 and flags[kids[0]])
-    return flags
 
 
 def is_line(tree: RootedTree, v: int) -> bool:
@@ -123,9 +114,9 @@ def epsilon_audit(tree: RootedTree) -> EpsilonAudit:
     Raises :class:`IsPath` for path trees, whose metric dimension is 1
     directly and which the decomposition does not target.
     """
-    if is_path(tree):
-        raise IsPath("epsilon audit targets non-path trees")
     report = md_report(tree)
+    if report.is_path:
+        raise IsPath("epsilon audit targets non-path trees")
     n_pl = count_subtree_property(tree, is_pl)
     n_pk = count_subtree_property(tree, is_pk)
     return EpsilonAudit(

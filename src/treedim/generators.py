@@ -61,8 +61,9 @@ class OffspringPmf:
     def __post_init__(self):
         if len(self.probs) == 0:
             raise InvalidPmf("empty probability vector")
-        if any(p < 0 for p in self.probs):
-            raise InvalidPmf("negative probability")
+        bad = [p for p in self.probs if not p >= 0]  # also catches NaN
+        if bad:
+            raise InvalidPmf(f"probability {bad[0]!r} is not a number >= 0")
         total = math.fsum(self.probs)
         if abs(total - 1.0) > 1e-12:
             raise InvalidPmf(f"probabilities sum to {total!r}, not 1")
@@ -378,7 +379,6 @@ def simulate_cmj(
         if stop.n < 1:
             raise InvalidParams(f"FixedSize needs n >= 1, got {stop.n}")
         horizon = math.inf
-        target = stop.n
         cap = stop.n
     elif isinstance(stop, ExpDoomsday):
         rate = rho + chi
@@ -387,7 +387,6 @@ def simulate_cmj(
                 f"doomsday rate rho + chi = {rate} must be positive"
             )
         horizon = rng.exponential(1.0 / rate)
-        target = None
         cap = stop.max_vertices if stop.max_vertices is not None else math.inf
         if cap < 1:
             raise InvalidParams("max_vertices must be >= 1")
@@ -408,7 +407,7 @@ def simulate_cmj(
         heapq.heappush(pending, (now + rng.exponential(1.0 / rate), seq, parent))
         seq += 1
 
-    if (target is None or target > 1) and cap > 1:
+    if cap > 1:
         schedule(0, 0.0)
     while pending:
         t, _, parent = heapq.heappop(pending)
@@ -419,8 +418,6 @@ def simulate_cmj(
         births.append(t)
         outdeg[parent] += 1
         outdeg.append(0)
-        if target is not None and child + 1 >= target:
-            break
         if child + 1 >= cap:
             break
         schedule(parent, t)

@@ -4,7 +4,7 @@ For a non-path tree the metric dimension equals the number of leaves minus
 the number of exterior major vertices (Slater's formula); a path needs one
 landmark and a single vertex none.  The formula runs in linear time; an
 exponential subset-search oracle is provided for validation on small trees.
-The root plays no role here: all quantities refer to the unrooted graph.
+All quantities refer to the unrooted graph; the root only orders the pass.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import TooLarge, VertexOutOfRange
-from .tree import RootedTree, bfs_distances, degrees
+from .tree import RootedTree, bfs_distances, line_flags
 
 BRUTE_FORCE_CAP = 16
 
@@ -50,29 +50,38 @@ class ResolvingWitness:
 
 
 def md_report(tree: RootedTree) -> MDReport:
-    """Compute leaves, exterior major vertices and the metric dimension in O(n)."""
-    n = tree.n
-    deg = degrees(tree).deg
-    if all(d <= 2 for d in deg):
-        leaves = tuple(v for v in range(n) if deg[v] == 1)
+    """Compute leaves, exterior major vertices and the metric dimension in O(n).
+
+    A leaf's leg (its path through degree-2 vertices) is a line subtree
+    hanging from the leg's major vertex, unless the leg runs through the
+    root.  So the exterior major vertices are the vertices of degree >= 3
+    with a line child, plus, when the root has degree <= 2 and exactly one
+    non-line child, the first branching vertex at or below that child.
+    """
+    children, root = tree.children, tree.root
+    line = line_flags(tree)
+    top = children[root]
+    # A non-root vertex is a leaf with no children, the root with one.
+    leaves = tuple(v for v, kids in enumerate(children) if len(kids) == (v == root))
+    if len(top) <= 2 and all(line[c] for c in top):
         return MDReport(
             leaves=leaves,
             exterior_major=(),
-            beta=0 if n == 1 else 1,
+            beta=0 if tree.n == 1 else 1,
             is_path=True,
         )
 
-    adj = tree.adjacency()
-    leaves = tuple(v for v in range(n) if deg[v] == 1)
-    exterior: set[int] = set()
-    # From each leaf, walk through degree-2 vertices; the first vertex of
-    # degree >= 3 is an exterior major vertex (credited once, as a set).
-    for leaf in leaves:
-        prev, cur = leaf, adj[leaf][0]
-        while deg[cur] == 2:
-            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-            prev, cur = cur, nxt
-        exterior.add(cur)
+    exterior = {
+        v
+        for v, kids in enumerate(children)
+        if len(kids) >= 2 + (v == root) and any(line[c] for c in kids)
+    }
+    heavy = [c for c in top if not line[c]]
+    if len(top) <= 2 and len(heavy) == 1:
+        v = heavy[0]
+        while len(children[v]) == 1:
+            v = children[v][0]
+        exterior.add(v)
     exterior_major = tuple(sorted(exterior))
     return MDReport(
         leaves=leaves,
@@ -89,7 +98,7 @@ def resolving_witness(tree: RootedTree, candidate) -> ResolvingWitness:
         if not 0 <= v < tree.n:
             raise VertexOutOfRange(f"vertex {v} outside 0..{tree.n - 1}")
     adj = tree.adjacency()
-    table = tuple(tuple(bfs_distances(tree, v, adj)) for v in verts)
+    table = tuple(tuple(bfs_distances(adj, v)) for v in verts)
     return ResolvingWitness(vertices=verts, distance_table=table, n=tree.n)
 
 
@@ -114,7 +123,7 @@ def brute_force_md(
     if n == 1:
         return 0, ()
     adj = tree.adjacency()
-    dist = [bfs_distances(tree, v, adj) for v in range(n)]
+    dist = [bfs_distances(adj, v) for v in range(n)]
     for size in range(1, n + 1):
         for subset in combinations(range(n), size):
             rows = [dist[w] for w in subset]

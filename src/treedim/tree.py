@@ -8,7 +8,6 @@ are represented faithfully.  Instances are immutable after construction.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -27,35 +26,29 @@ class RootedTree:
     """A validated rooted tree.
 
     ``parents[v]`` is the parent of ``v`` or ``None`` for the root;
-    ``children[v]`` lists the children of ``v`` in ascending index order.
+    ``children[v]`` lists the children of ``v`` in ascending index order;
+    ``order`` lists every vertex breadth-first from the root, so parents
+    come before their children and a reversed pass is bottom-up.
     Use :func:`build_from_parents` instead of constructing directly.
     """
 
     parents: tuple[int | None, ...]
     children: tuple[tuple[int, ...], ...]
     root: int
+    order: tuple[int, ...]
 
     @property
     def n(self) -> int:
         return len(self.parents)
 
     def adjacency(self) -> list[list[int]]:
-        """Neighbour lists of the underlying unrooted graph."""
+        """Neighbour lists of the underlying unrooted graph (for the oracle)."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for v, p in enumerate(self.parents):
             if p is not None:
                 adj[v].append(p)
                 adj[p].append(v)
         return adj
-
-    def topological_order(self) -> list[int]:
-        """Vertices in breadth-first order from the root (parents first)."""
-        order = [self.root]
-        head = 0
-        while head < len(order):
-            order.extend(self.children[order[head]])
-            head += 1
-        return order
 
 
 @dataclass(frozen=True)
@@ -77,6 +70,7 @@ def build_from_parents(parents: list[int | None]) -> RootedTree:
     if n == 0:
         raise NoRoot("empty parent list")
     root: int | None = None
+    children: list[list[int]] = [[] for _ in range(n)]
     for v, p in enumerate(parents):
         if p is None:
             if root is not None:
@@ -96,37 +90,25 @@ def build_from_parents(parents: list[int | None]) -> RootedTree:
                 )
             if p == v:
                 raise CycleDetected(f"vertex {v} is its own parent", vertex=v)
+            children[p].append(v)
     if root is None:
         raise NoRoot("every vertex has a parent; no root")
 
-    # Walk parent chains with path marking: any chain that revisits itself
-    # before reaching a known-good vertex is a cycle.
-    state = bytearray(n)  # 0 unvisited, 1 on current chain, 2 reaches root
-    state[root] = 2
-    for start in range(n):
-        if state[start]:
-            continue
-        chain = []
-        v = start
-        while state[v] == 0:
-            state[v] = 1
-            chain.append(v)
-            v = parents[v]  # type: ignore[assignment]
-        if state[v] == 1:
-            raise CycleDetected(
-                f"vertex {start} cannot reach the root (parent cycle)", vertex=start
-            )
-        for u in chain:
-            state[u] = 2
-
-    children: list[list[int]] = [[] for _ in range(n)]
-    for v, p in enumerate(parents):
-        if p is not None:
-            children[p].append(v)
+    # Every vertex has one parent, so the parent array is a tree iff a
+    # breadth-first pass from the root reaches all n vertices.
+    order = [root]
+    for v in order:
+        order.extend(children[v])
+    if len(order) < n:
+        start = min(set(range(n)).difference(order))
+        raise CycleDetected(
+            f"vertex {start} cannot reach the root (parent cycle)", vertex=start
+        )
     return RootedTree(
         parents=tuple(parents),
-        children=tuple(tuple(c) for c in children),
+        children=tuple(map(tuple, children)),
         root=root,
+        order=tuple(order),
     )
 
 
@@ -142,6 +124,16 @@ def degrees(tree: RootedTree) -> DegreeView:
 def is_path(tree: RootedTree) -> bool:
     """True iff the underlying unrooted graph is a path (single vertex counts)."""
     return all(d <= 2 for d in degrees(tree).deg)
+
+
+def line_flags(tree: RootedTree) -> list[bool]:
+    """Per-vertex flag: is the hanging subtree a line (single vertex counts)."""
+    flags = [False] * tree.n
+    children = tree.children
+    for v in reversed(tree.order):
+        kids = children[v]
+        flags[v] = not kids or (len(kids) == 1 and flags[kids[0]])
+    return flags
 
 
 def serialize(tree: RootedTree) -> str:
@@ -186,21 +178,22 @@ def write_tree(tree: RootedTree, path) -> None:
 
 def read_tree(path) -> RootedTree:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise TreeFormatError(f"{path} is not UTF-8 text: {exc}") from None
+    return parse(text)
 
 
-def bfs_distances(tree: RootedTree, source: int, adj: list[list[int]] | None = None) -> list[int]:
-    """Graph distances from ``source`` to every vertex."""
-    if adj is None:
-        adj = tree.adjacency()
-    dist = [-1] * tree.n
+def bfs_distances(adj: list[list[int]], source: int) -> list[int]:
+    """Graph distances from ``source`` to every vertex, given neighbour lists."""
+    dist = [-1] * len(adj)
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        dv = dist[v]
+    queue = [source]
+    for v in queue:
+        dv = dist[v] + 1
         for w in adj[v]:
             if dist[w] < 0:
-                dist[w] = dv + 1
+                dist[w] = dv
                 queue.append(w)
     return dist

@@ -305,15 +305,8 @@ def criterion_figure1(
 
 
 def _shape_key(tree: RootedTree) -> tuple[int, ...]:
-    # Preorder outdegree sequence: canonical for ordered shapes.
-    key = []
-    stack = [tree.root]
-    while stack:
-        v = stack.pop()
-        kids = tree.children[v]
-        key.append(len(kids))
-        stack.extend(reversed(kids))
-    return tuple(key)
+    # Breadth-first outdegree sequence: canonical for ordered shapes.
+    return tuple(len(tree.children[v]) for v in tree.order)
 
 
 def criterion_embedding_tv(

@@ -197,10 +197,14 @@ class TestGenerateDigests:
 
 class TestBadInput:
     @pytest.mark.parametrize("command", ["md", "fringe"])
-    @pytest.mark.parametrize("text", ["3\nR\n0\nx\n", ""], ids=["bad-token", "empty"])
-    def test_malformed_tree_file(self, tmp_path, capsys, command, text):
+    @pytest.mark.parametrize(
+        "data",
+        [b"3\nR\n0\nx\n", b"", b"2\nR\n\xff\n"],
+        ids=["bad-token", "empty", "non-utf8"],
+    )
+    def test_malformed_tree_file(self, tmp_path, capsys, command, data):
         target = tmp_path / "bad.tree"
-        target.write_text(text)
+        target.write_bytes(data)
         argv = [command, str(target)]
         if command == "fringe":
             argv += ["--property", "pl"]
@@ -217,14 +221,35 @@ class TestBadInput:
         code, _, err = run(capsys, *argv)
         assert code == 2 and "line 2" in err and "'half'" in err
 
+    @pytest.mark.parametrize("command", ["constant", "generate"])
+    def test_nan_pmf_line(self, tmp_path, capsys, command):
+        pmf = tmp_path / "pmf.txt"
+        pmf.write_text("0.5\nnan\n0.5\n")
+        argv = [command, "--model", "gw", "--pmf", str(pmf)]
+        if command == "generate":
+            argv += ["-n", "5", "--seed", "1"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error:") and "nan" in err
+        assert "value" not in out
+
     def test_mary_constant_overflow(self, capsys):
         code, _, err = run(capsys, "constant", "--model", "mary", "--m", "200")
         assert code == 2 and "c_mary(200)" in err
 
     def test_experiment_without_representable_constant(self, capsys):
+        # chi = 0 is evaluated at rho = 1 only (Unsupported elsewhere)
         code, out, _ = run(
-            capsys, "experiment", "--model", "pa", "--rho", "200", "--chi", "-1",
+            capsys, "experiment", "--model", "pa", "--rho", "2", "--chi", "0",
             "-n", "50", "--trials", "2", "--seed", "1",
         )
         assert code == 0
         assert "mean=" in out and "constant=" not in out
+
+    def test_large_rho_constant(self, capsys):
+        code, out, _ = run(capsys, "constant", "--model", "general", "--rho", "200", "--chi", "-1")
+        assert code == 0 and "0.262113" in out
+        code, out, _ = run(
+            capsys, "experiment", "--model", "pa", "--rho", "200", "--chi", "-1",
+            "-n", "50", "--trials", "2", "--seed", "1",
+        )
+        assert code == 0 and "constant=0.262113" in out

@@ -217,6 +217,11 @@ class TestGeneralConstant:
         with pytest.raises(Unsupported):
             c_general(2.0, 0)
 
+    def test_large_rho_keeps_quadrature_when_mary_overflows(self):
+        # c_mary(200) is Unsupported; the quadrature still holds there.
+        value, _ = c_from_pk_integral(200.0, -1)
+        assert abs(c_general(200.0, -1).value - value) <= 1e-9
+
     def test_degenerate_path_model_rejected(self):
         with pytest.raises(DomainError):
             c_general(1.0, -1)

@@ -170,6 +170,10 @@ class TestOffspringPmf:
             OffspringPmf((0.0, 1.0))
         with pytest.raises(InvalidPmf):
             OffspringPmf((1.5, -0.5))
+        with pytest.raises(InvalidPmf, match="nan"):
+            OffspringPmf((0.5, math.nan, 0.5))
+        with pytest.raises(InvalidPmf, match="nan"):
+            OffspringPmf.from_probs([0.5, math.nan, 0.5], renormalize=True)
 
     def test_poisson_is_critical(self):
         pmf = OffspringPmf.poisson(1.0)
@@ -558,6 +562,16 @@ class TestNetworkxOracle:
             graph.add_nodes_from(range(n))
             graph.add_edges_from(edge_set(tree))
             assert tree.n == n and nx.is_tree(graph), (name, n)
+
+    @pytest.mark.parametrize("name", sorted(SAMPLERS))
+    def test_order_lists_parents_before_children(self, name):
+        for n in (1, 2, 3, 10, 500):
+            tree = SAMPLERS[name](n, RngSpec(31).stream(n))
+            assert sorted(tree.order) == list(range(n)), (name, n)
+            position = {v: i for i, v in enumerate(tree.order)}
+            assert tree.order[0] == tree.root
+            for v, p in enumerate(tree.parents):
+                assert p is None or position[p] < position[v], (name, n, v)
 
     def test_uniform_matches_prufer_decoding(self, nx):
         # the sampler draws the sequence first, then the root

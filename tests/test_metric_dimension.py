@@ -22,6 +22,19 @@ def star(leaves):
     return build_from_parents([None] + [0] * leaves)
 
 
+def rerooted(adj, root):
+    """Parent array of the tree with neighbour lists ``adj``, rooted at ``root``."""
+    parents = [None] * len(adj)
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if w != root and parents[w] is None:
+                parents[w] = v
+                stack.append(w)
+    return parents
+
+
 def spider_three_legs_of_two():
     # center 0, legs 0-1-2, 0-3-4, 0-5-6
     return build_from_parents([None, 0, 1, 0, 3, 0, 5])
@@ -131,10 +144,38 @@ class TestBruteForce:
 
 class TestOracleEquivalence:
     def test_exhaustive_small_increasing_trees(self):
-        for n in range(2, 8):
+        # md_report reads legs as line subtrees of the rooted tree; the
+        # report must not depend on which vertex is the root.
+        for n in range(1, 8):
             for choice in product(*[range(i) for i in range(1, n)]):
                 t = build_from_parents([None, *choice])
-                assert md_report(t).beta == brute_force_md(t)[0]
+                expected = md_report(t)
+                assert expected.beta == brute_force_md(t)[0]
+                adj = t.adjacency()
+                for root in range(1, n):
+                    report = md_report(build_from_parents(rerooted(adj, root)))
+                    assert report == expected, (choice, root)
+
+    def test_root_leg_ends_at_vertex_without_line_child(self):
+        # leaf 1 -> root 0 (degree 2) -> vertex 2, whose children 3 and 4
+        # both branch: 2 is exterior major with no line child.  Needs n >= 8.
+        t = build_from_parents([None, 0, 0, 2, 2, 3, 3, 4, 4])
+        report = md_report(t)
+        assert report.exterior_major == (2, 3, 4)
+        assert report.beta == brute_force_md(t)[0] == 2
+        adj = t.adjacency()
+        for root in range(t.n):
+            assert md_report(build_from_parents(rerooted(adj, root))) == report
+
+    def test_every_root_on_larger_random_trees(self):
+        spec = RngSpec(34)
+        for i in range(60):
+            rng = spec.stream(i)
+            t = sample_uniform_tree(int(rng.integers(8, 41)), rng)
+            adj = t.adjacency()
+            expected = md_report(t)
+            for root in range(t.n):
+                assert md_report(build_from_parents(rerooted(adj, root))) == expected
 
     def test_random_trees(self):
         spec = RngSpec(33)

@@ -8,6 +8,7 @@ from treedim import (
     degrees,
     is_path,
     parse,
+    read_tree,
     sample_uniform_tree,
     serialize,
 )
@@ -16,6 +17,7 @@ from treedim.errors import (
     IndexOutOfRange,
     MultipleRoots,
     NoRoot,
+    TreeFormatError,
 )
 
 
@@ -73,6 +75,36 @@ class TestBuild:
         with pytest.raises(CycleDetected) as err:
             build_from_parents([None, 2, 1])
         assert err.value.vertex == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_cycle_names_smallest_stranded_vertex(self, data):
+        n = data.draw(st.integers(2, 12))
+        root = data.draw(st.integers(0, n - 1))
+        parents = [
+            None if v == root else data.draw(st.integers(0, n - 1).filter(lambda p, v=v: p != v))
+            for v in range(n)
+        ]
+
+        def reaches_root(v):
+            for _ in range(n):
+                if v == root:
+                    return True
+                v = parents[v]
+            return v == root
+
+        stranded = [v for v in range(n) if not reaches_root(v)]
+        if not stranded:
+            assert build_from_parents(parents).n == n
+            return
+        with pytest.raises(CycleDetected) as err:
+            build_from_parents(parents)
+        assert err.value.vertex == stranded[0]
+        assert str(err.value) == f"vertex {stranded[0]} cannot reach the root (parent cycle)"
+
+    def test_order_is_breadth_first(self):
+        t = build_from_parents([3, 3, 0, None, 1, 0])
+        assert t.order == (3, 0, 1, 2, 5, 4)
 
 
 class TestDegrees:
@@ -147,6 +179,12 @@ class TestSerialization:
         parents = [None] + [raw[i - 1] % i for i in range(1, n)]
         t = build_from_parents(parents)
         assert parse(serialize(t)) == t
+
+    def test_read_rejects_non_utf8(self, tmp_path):
+        target = tmp_path / "bad.tree"
+        target.write_bytes(b"2\nR\n\xff\n")
+        with pytest.raises(TreeFormatError, match="bad.tree"):
+            read_tree(target)
 
     def test_round_trip_generated(self, tmp_path):
         from treedim import read_tree, write_tree
