@@ -12,7 +12,6 @@ from treedim import (
     OffspringPmf,
     PAParams,
     RngSpec,
-    degrees,
     sample_conditioned_gw,
     sample_pa_tree,
     sample_uniform_tree,
@@ -21,6 +20,12 @@ from treedim import (
 
 spec = RngSpec(99)
 
+
+def degrees(tree):
+    """Unrooted degree of each vertex: its children, plus its parent."""
+    return (tree.outdeg + (tree.parents >= 0)).tolist()
+
+
 print("Conditioned critical branching tree (Poisson offspring, n = 12):")
 pmf = OffspringPmf.poisson(1.0)
 tree = sample_conditioned_gw(pmf, 12, spec.stream(0))
@@ -28,22 +33,22 @@ print("  children lists:", list(tree.children))
 
 print("\nUniform labeled tree via a random Pruefer sequence (n = 12):")
 tree = sample_uniform_tree(12, spec.stream(1))
-print("  degrees:", list(degrees(tree).deg))
+print("  degrees:", degrees(tree))
 
 print("\nGrowth trees: attachment weight rho + chi * children(v)")
 for rho, chi, name in ((2.0, -1, "binary search tree"),
                        (1.0, 0, "random recursive tree"),
                        (1.0, 1, "rich-get-richer tree")):
     tree = sample_pa_tree(PAParams(rho, chi), 2000, spec.stream(int(10 + rho * 2 + chi)))
-    deg = degrees(tree).deg
+    deg = degrees(tree)
     print(f"  {name:22} max degree {max(deg):4d}  leaves {sum(d == 1 for d in deg):4d}")
 
 print("\nThe same growth rule in continuous time (births at exponential gaps):")
 cmj = simulate_cmj(PAParams(1.0, 1), FixedSize(8), spec.stream(20))
 for v in range(cmj.tree.n):
-    parent = cmj.tree.parents[v]
+    parent = int(cmj.tree.parents[v])
     print(f"  vertex {v} born {cmj.birth_times[v]:.3f}"
-          + ("" if parent is None else f" to parent {parent}"))
+          + ("" if parent < 0 else f" to parent {parent}"))
 
 print("\nStopped at an independent exponential time instead, the tree size is")
 print("heavy tailed; singletons appear with probability (rho+chi)/(2rho+chi):")

@@ -68,10 +68,8 @@ from .metric_dimension import (
 )
 from .quadrature import QuadratureSpec, adaptive_simpson
 from .tree import (
-    DegreeView,
     RootedTree,
     build_from_parents,
-    degrees,
     is_path,
     parse,
     read_tree,

@@ -57,17 +57,21 @@ def _load_pmf(path: str | None) -> OffspringPmf:
     """
     if path is None:
         return OffspringPmf.poisson(1.0)
-    probs = []
     with open(path, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                probs.append(float(line))
-            except ValueError:
-                raise InvalidPmf(
-                    f"{path} line {number}: {line.strip()!r} is not a probability"
-                ) from None
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise InvalidPmf(f"{path} is not UTF-8 text: {exc}") from None
+    probs = []
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            probs.append(float(line))
+        except ValueError:
+            raise InvalidPmf(
+                f"{path} line {number}: {line.strip()!r} is not a probability"
+            ) from None
     return OffspringPmf.from_probs(probs)
 
 
@@ -283,11 +287,11 @@ def main(argv=None) -> int:
     except TreedimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except FileExistsError as exc:
         print(f"error: {exc}; pass --force to overwrite", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

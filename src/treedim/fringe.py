@@ -8,8 +8,8 @@ away from the root.  Three canonical properties are used throughout:
 * ``is_pk``   -- the vertex has at least two children and at least one
   child's subtree is a line.
 
-Counting all three over a whole tree takes one bottom-up pass with
-memoized per-vertex summaries (subtree size and line flag).
+Counting any of the three over a whole tree takes a few array passes over
+the parent array: outdegrees, line flags and line-children counts.
 """
 
 from __future__ import annotations
@@ -17,9 +17,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import IsPath, VertexOutOfRange
 from .metric_dimension import md_report
-from .tree import RootedTree, line_flags
+from .tree import RootedTree, child_counts, line_flags
 
 
 def _check_vertex(tree: RootedTree, v: int) -> None:
@@ -28,11 +30,25 @@ def _check_vertex(tree: RootedTree, v: int) -> None:
 
 
 def subtree_sizes(tree: RootedTree) -> list[int]:
-    """Size of the hanging subtree of each vertex, in one bottom-up pass."""
+    """Size of the hanging subtree of each vertex, in one bottom-up pass
+    over an order made by array operations: index order when every parent
+    precedes its child, else by depth."""
+    parents, root = tree.parents, tree.root
+    if root == 0 and (parents[1:] < np.arange(1, tree.n)).all():
+        down = np.arange(tree.n)
+    else:
+        # Pointer doubling: depth[v] is the distance from v to anc[v].
+        depth = (parents >= 0).astype(np.int64)
+        anc = parents.copy()
+        anc[root] = root
+        while not (anc == root).all():
+            depth += depth[anc]
+            anc = anc[anc]
+        down = np.argsort(depth, kind="stable")
+    up = down[:0:-1]  # children before parents, root left out
     sizes = [1] * tree.n
-    for v in reversed(tree.order):
-        for c in tree.children[v]:
-            sizes[v] += sizes[c]
+    for v, p in zip(up.tolist(), parents[up].tolist()):
+        sizes[p] += sizes[v]
     return sizes
 
 
@@ -51,7 +67,7 @@ def is_line(tree: RootedTree, v: int) -> bool:
 def is_pl(tree: RootedTree, v: int) -> bool:
     """True iff the subtree below ``v`` is a single vertex."""
     _check_vertex(tree, v)
-    return len(tree.children[v]) == 0
+    return int(tree.outdeg[v]) == 0
 
 
 def is_pk(tree: RootedTree, v: int) -> bool:
@@ -68,20 +84,16 @@ def count_subtree_property(tree: RootedTree, predicate) -> int:
 
     ``predicate`` is a callable ``(tree, v) -> bool`` that may only inspect
     the subtree below ``v``.  The three canonical predicates are recognised
-    and counted via one memoized bottom-up pass; any other callable is
+    and counted by array passes over the whole tree; any other callable is
     evaluated per vertex.
     """
     if predicate is is_pl:
-        return sum(1 for c in tree.children if len(c) == 0)
+        return int(np.count_nonzero(tree.outdeg == 0))
     if predicate is is_line:
-        return sum(line_flags(tree))
+        return int(np.count_nonzero(line_flags(tree)))
     if predicate is is_pk:
-        flags = line_flags(tree)
-        return sum(
-            1
-            for kids in tree.children
-            if len(kids) >= 2 and any(flags[c] for c in kids)
-        )
+        line_kids = child_counts(tree.parents[line_flags(tree)], tree.n)
+        return int(np.count_nonzero((tree.outdeg >= 2) & (line_kids > 0)))
     return sum(1 for v in range(tree.n) if predicate(tree, v))
 
 

@@ -185,7 +185,7 @@ REJECTION_BUDGET = 1_000_000
 
 
 def _tree_from_preorder_degrees(degs: list[int]) -> RootedTree:
-    parents: list[int | None] = [None] * len(degs)
+    parents = [-1] * len(degs)
     stack = [(0, degs[0])]
     for v in range(1, len(degs)):
         while stack[-1][1] == 0:
@@ -194,7 +194,7 @@ def _tree_from_preorder_degrees(degs: list[int]) -> RootedTree:
         stack[-1] = (parent, remaining - 1)
         parents[v] = parent
         stack.append((v, degs[v]))
-    return build_from_parents(parents)
+    return build_from_parents(np.array(parents))
 
 
 def sample_conditioned_gw(
@@ -254,10 +254,10 @@ def sample_conditioned_gw(
 # ---------------------------------------------------------------------------
 
 
-def _prufer_parents(seq: np.ndarray, n: int) -> list[int | None]:
+def _prufer_parents(seq: np.ndarray, n: int) -> list[int]:
     """Decode a Pruefer sequence into the parent array rooted at n - 1."""
     degree = (np.bincount(seq, minlength=n) + 1).tolist()
-    parents: list[int | None] = [None] * n
+    parents = [-1] * n
     ptr = degree.index(1)
     leaf = ptr
     for v in seq.tolist():
@@ -287,10 +287,10 @@ def sample_uniform_tree(n: int, rng: np.random.Generator) -> RootedTree:
     seq = rng.integers(0, n, size=n - 2) if n > 2 else np.empty(0, dtype=np.int64)
     parents = _prufer_parents(seq, n)
     # Re-root at a uniform vertex by reversing its path to n - 1.
-    prev, v = None, int(rng.integers(0, n))
-    while v is not None:
+    prev, v = -1, int(rng.integers(0, n))
+    while v >= 0:
         parents[v], prev, v = prev, v, parents[v]
-    return build_from_parents(parents)
+    return build_from_parents(np.array(parents))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +298,7 @@ def sample_uniform_tree(n: int, rng: np.random.Generator) -> RootedTree:
 # ---------------------------------------------------------------------------
 
 
-def _copy_attach(rho: float, n: int, rng: np.random.Generator) -> list[int]:
+def _copy_attach(rho: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Parents of 1..n-1 under weight rho + children(u), whose total is
     rho v + v - 1 when v vertices are present: v picks a uniform earlier
     vertex with probability rho v / (rho v + v - 1), else the parent of a
@@ -319,21 +319,29 @@ def _copy_attach(rho: float, n: int, rng: np.random.Generator) -> list[int]:
         src[pending] = src[w]
         copy[pending] = copy[w]
         pending = pending[copy[pending]]
-    return src[1:].tolist()
+    return src[1:]
 
 
-def _slot_attach(m: int, n: int, rng: np.random.Generator) -> list[int]:
+def _slot_attach(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Parents of 1..n-1 under weight m - children(u): each vertex owns m
     slots, and v fills a uniform one of the (m - 1) v + 1 free slots, which
     it overwrites with one of its own m slots before appending the rest.
+
+    Slots 0..m-1 belong to the root and slots m + (m - 1)(v - 1) onwards to
+    v, so a pick's parent is the previous pick of the same slot, or else
+    the slot's creator; one stable sort by slot lines the picks up.
     """
-    picks = (rng.random(n - 1) * ((m - 1) * np.arange(1, n) + 1)).astype(np.int64)
-    slots = [0] * m
-    parents = []
-    for child, j in enumerate(picks.tolist(), 1):
-        parents.append(slots[j])
-        slots[j] = child
-        slots += [child] * (m - 1)
+    child = np.arange(1, n)
+    picks = (rng.random(n - 1) * ((m - 1) * child + 1)).astype(np.int64)
+    if m == 1:
+        return child - 1  # the root's one slot passes down a path
+    by_slot = np.argsort(picks, kind="stable")
+    slot = picks[by_slot]
+    parent = np.where(slot < m, 0, (slot - m) // (m - 1) + 1)
+    again = np.flatnonzero(slot[1:] == slot[:-1]) + 1
+    parent[again] = by_slot[again - 1] + 1
+    parents = np.empty_like(parent)
+    parents[by_slot] = parent
     return parents
 
 
@@ -348,12 +356,12 @@ def sample_pa_tree(params: PAParams, n: int, rng: np.random.Generator) -> Rooted
     if n < 1:
         raise InvalidParams(f"tree size must be >= 1, got {n}")
     if params.chi == 0:
-        picks = (rng.random(n - 1) * np.arange(1, n)).astype(np.int64).tolist()
+        picks = (rng.random(n - 1) * np.arange(1, n)).astype(np.int64)
     elif params.chi == 1:
         picks = _copy_attach(params.rho, n, rng)
     else:
         picks = _slot_attach(int(params.rho), n, rng)
-    return build_from_parents([None, *picks])
+    return build_from_parents(np.concatenate(([-1], picks)))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +401,7 @@ def simulate_cmj(
     else:
         raise InvalidParams(f"unknown stop rule {stop!r}")
 
-    parents: list[int | None] = [None]
+    parents = [-1]
     births = [0.0]
     outdeg = [0]
     pending: list[tuple[float, int, int]] = []
@@ -422,7 +430,7 @@ def simulate_cmj(
             break
         schedule(parent, t)
         schedule(child, t)
-    return CMJTree(tree=build_from_parents(parents), birth_times=tuple(births))
+    return CMJTree(tree=build_from_parents(np.array(parents)), birth_times=tuple(births))
 
 
 def sample_H(lam: float, nu: float, rng: np.random.Generator) -> float:

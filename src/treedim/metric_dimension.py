@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import TooLarge, VertexOutOfRange
-from .tree import RootedTree, bfs_distances, line_flags
+from .tree import RootedTree, bfs_distances, chain_ends, child_counts
 
 BRUTE_FORCE_CAP = 16
 
@@ -50,20 +50,26 @@ class ResolvingWitness:
 
 
 def md_report(tree: RootedTree) -> MDReport:
-    """Compute leaves, exterior major vertices and the metric dimension in O(n).
+    """Compute leaves, exterior major vertices and the metric dimension.
 
     A leaf's leg (its path through degree-2 vertices) is a line subtree
     hanging from the leg's major vertex, unless the leg runs through the
     root.  So the exterior major vertices are the vertices of degree >= 3
     with a line child, plus, when the root has degree <= 2 and exactly one
-    non-line child, the first branching vertex at or below that child.
+    non-line child, the end of the only-child chain below that child.
+    Each step is an array pass over the parent array.
     """
-    children, root = tree.children, tree.root
-    line = line_flags(tree)
-    top = children[root]
+    outdeg, root = tree.outdeg, tree.root
+    ends = chain_ends(tree)
+    line = outdeg[ends] == 0
     # A non-root vertex is a leaf with no children, the root with one.
-    leaves = tuple(v for v, kids in enumerate(children) if len(kids) == (v == root))
-    if len(top) <= 2 and all(line[c] for c in top):
+    leaf = outdeg == 0
+    leaf[root] = outdeg[root] == 1
+    leaves = tuple(leaf.nonzero()[0].tolist())
+    top = int(outdeg[root])
+    line_kids = child_counts(tree.parents[line], tree.n)
+    heavy = top - int(line_kids[root])
+    if top <= 2 and heavy == 0:
         return MDReport(
             leaves=leaves,
             exterior_major=(),
@@ -71,18 +77,12 @@ def md_report(tree: RootedTree) -> MDReport:
             is_path=True,
         )
 
-    exterior = {
-        v
-        for v, kids in enumerate(children)
-        if len(kids) >= 2 + (v == root) and any(line[c] for c in kids)
-    }
-    heavy = [c for c in top if not line[c]]
-    if len(top) <= 2 and len(heavy) == 1:
-        v = heavy[0]
-        while len(children[v]) == 1:
-            v = children[v][0]
-        exterior.add(v)
-    exterior_major = tuple(sorted(exterior))
+    exterior = (outdeg >= 2) & (line_kids > 0)
+    exterior[root] = top >= 3 and line_kids[root] > 0
+    if top <= 2 and heavy == 1:
+        child = ((tree.parents == root) & ~line).nonzero()[0][0]
+        exterior[ends[child]] = True
+    exterior_major = tuple(exterior.nonzero()[0].tolist())
     return MDReport(
         leaves=leaves,
         exterior_major=exterior_major,

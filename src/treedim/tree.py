@@ -1,14 +1,19 @@
 """Rooted trees on dense integer vertices, plus the on-disk text format.
 
-Vertices are ``0..n-1``.  Exactly one vertex (the root) has no parent.
-Children lists preserve insertion order, which for every generator in this
-package coincides with ascending vertex index, so ordered-tree distributions
-are represented faithfully.  Instances are immutable after construction.
+Vertices are ``0..n-1``.  Exactly one vertex (the root) has no parent.  A
+tree is its validated parent array; outdegrees, children lists and the
+breadth-first order are derived from it on first use.  Children lists are
+in ascending vertex index, which for every generator in this package is
+insertion order, so ordered-tree distributions are represented faithfully.
+Instances are immutable after construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import (
     CycleDetected,
@@ -21,119 +26,179 @@ from .errors import (
 ROOT_TOKEN = "R"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootedTree:
     """A validated rooted tree.
 
-    ``parents[v]`` is the parent of ``v`` or ``None`` for the root;
-    ``children[v]`` lists the children of ``v`` in ascending index order;
+    ``parents[v]`` is the parent of ``v``, or -1 for the root, in a read-only
+    int64 array.  Derived on first use and cached: ``outdeg[v]`` counts the
+    children of ``v``; ``children[v]`` lists them in ascending index order;
     ``order`` lists every vertex breadth-first from the root, so parents
-    come before their children and a reversed pass is bottom-up.
+    come before their children.
     Use :func:`build_from_parents` instead of constructing directly.
     """
 
-    parents: tuple[int | None, ...]
-    children: tuple[tuple[int, ...], ...]
+    parents: np.ndarray
     root: int
-    order: tuple[int, ...]
 
     @property
     def n(self) -> int:
         return len(self.parents)
 
+    def __eq__(self, other):
+        if not isinstance(other, RootedTree):
+            return NotImplemented
+        return self.root == other.root and np.array_equal(self.parents, other.parents)
+
+    def __hash__(self):
+        return hash((self.root, self.parents.tobytes()))
+
+    @cached_property
+    def outdeg(self) -> np.ndarray:
+        return child_counts(self.parents, self.n)
+
+    @cached_property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        kids: list[list[int]] = [[] for _ in range(self.n)]
+        for v, p in enumerate(self.parents.tolist()):
+            if p >= 0:
+                kids[p].append(v)
+        return tuple(map(tuple, kids))
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        order = [self.root]
+        for v in order:
+            order.extend(self.children[v])
+        return tuple(order)
+
     def adjacency(self) -> list[list[int]]:
         """Neighbour lists of the underlying unrooted graph (for the oracle)."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
-        for v, p in enumerate(self.parents):
-            if p is not None:
+        for v, p in enumerate(self.parents.tolist()):
+            if p >= 0:
                 adj[v].append(p)
                 adj[p].append(v)
         return adj
 
 
-@dataclass(frozen=True)
-class DegreeView:
-    """Unrooted degrees and children counts of a tree, index-aligned."""
+def child_counts(parents: np.ndarray, n: int) -> np.ndarray:
+    """How many of the vertices with these ``parents`` hang below each of
+    ``0..n-1``; a -1 (the root's parent) counts for no vertex."""
+    counts = np.bincount(parents + 1, minlength=n + 1)[1:]
+    counts.flags.writeable = False
+    return counts
 
-    deg: tuple[int, ...]
-    outdeg: tuple[int, ...]
 
-
-def build_from_parents(parents: list[int | None]) -> RootedTree:
+def build_from_parents(parents) -> RootedTree:
     """Validate a parent array and return the tree it describes.
 
-    Raises :class:`NoRoot`, :class:`MultipleRoots`, :class:`IndexOutOfRange`
-    or :class:`CycleDetected` (each naming the first offending vertex)
-    rather than returning a malformed tree.
+    ``parents`` is either a sequence holding ``None`` at the root and an
+    ``int`` elsewhere, or a one-dimensional signed-integer ndarray holding
+    -1 at the root (any other negative entry is out of range).  Raises
+    :class:`NoRoot`, :class:`MultipleRoots`, :class:`IndexOutOfRange` or
+    :class:`CycleDetected` rather than returning a malformed tree: first
+    for the smallest vertex whose own entry is bad (a second root, a
+    non-integer or out-of-range parent, itself as parent), then for a
+    missing root, then for the smallest vertex that cannot reach the root.
     """
-    n = len(parents)
+    if isinstance(parents, np.ndarray):
+        if parents.ndim != 1 or parents.dtype.kind != "i":
+            raise IndexOutOfRange(
+                "parent array must be one-dimensional with a signed integer "
+                f"dtype, got {parents.ndim}-D {parents.dtype}"
+            )
+        arr = parents.astype(np.int64)
+    else:
+        n = len(parents)
+        # Entries the sequence rules reject become n, which is out of range.
+        arr = np.array(
+            [
+                -1 if p is None
+                else p if isinstance(p, int) and not isinstance(p, bool) and 0 <= p < n
+                else n
+                for p in parents
+            ],
+            dtype=np.int64,
+        )
+    arr.flags.writeable = False
+    n = arr.size
     if n == 0:
         raise NoRoot("empty parent list")
-    root: int | None = None
-    children: list[list[int]] = [[] for _ in range(n)]
-    for v, p in enumerate(parents):
-        if p is None:
-            if root is not None:
-                raise MultipleRoots(
-                    f"vertex {v} has no parent but vertex {root} is already the root",
-                    vertex=v,
-                )
-            root = v
+    # Root 0 and 0 <= parent[v] < v for v >= 1: every chain descends to 0.
+    # Negative parents wrap to huge unsigned values and fail the comparison.
+    if arr[0] == -1 and (arr[1:].view(np.uint64) < np.arange(1, n, dtype=np.uint64)).all():
+        return RootedTree(parents=arr, root=0)
+
+    roots = (arr == -1).nonzero()[0]
+    bad = (arr < -1) | (arr >= n) | (arr == np.arange(n))
+    bad[roots[1:]] = True
+    if bad.any():
+        v = int(bad.argmax())
+        if not isinstance(parents, np.ndarray):
+            p = parents[v]
         else:
-            if not isinstance(p, int) or isinstance(p, bool):
-                raise IndexOutOfRange(
-                    f"vertex {v} has non-integer parent {p!r}", vertex=v
-                )
-            if not 0 <= p < n:
-                raise IndexOutOfRange(
-                    f"vertex {v} has parent {p}, outside 0..{n - 1}", vertex=v
-                )
-            if p == v:
-                raise CycleDetected(f"vertex {v} is its own parent", vertex=v)
-            children[p].append(v)
-    if root is None:
+            p = None if arr[v] == -1 else int(arr[v])
+        if p is None:
+            raise MultipleRoots(
+                f"vertex {v} has no parent but vertex {roots[0]} is already the root",
+                vertex=v,
+            )
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise IndexOutOfRange(f"vertex {v} has non-integer parent {p!r}", vertex=v)
+        if not 0 <= p < n:
+            raise IndexOutOfRange(
+                f"vertex {v} has parent {p}, outside 0..{n - 1}", vertex=v
+            )
+        raise CycleDetected(f"vertex {v} is its own parent", vertex=v)
+    if not roots.size:
         raise NoRoot("every vertex has a parent; no root")
 
-    # Every vertex has one parent, so the parent array is a tree iff a
-    # breadth-first pass from the root reaches all n vertices.
-    order = [root]
-    for v in order:
-        order.extend(children[v])
-    if len(order) < n:
-        start = min(set(range(n)).difference(order))
-        raise CycleDetected(
-            f"vertex {start} cannot reach the root (parent cycle)", vertex=start
-        )
-    return RootedTree(
-        parents=tuple(parents),
-        children=tuple(map(tuple, children)),
-        root=root,
-        order=tuple(order),
+    # Pointer doubling: after k rounds anc[v] is the 2^k-th ancestor of v
+    # or the root, and every chain to the root is shorter than n.
+    root = int(roots[0])
+    anc = arr.copy()
+    anc[root] = root
+    for _ in range(n.bit_length()):
+        anc = anc[anc]
+        if (anc == root).all():
+            return RootedTree(parents=arr, root=root)
+    start = int((anc != root).argmax())
+    raise CycleDetected(
+        f"vertex {start} cannot reach the root (parent cycle)", vertex=start
     )
-
-
-def degrees(tree: RootedTree) -> DegreeView:
-    """Unrooted degree and children count for each vertex."""
-    outdeg = tuple(len(c) for c in tree.children)
-    deg = tuple(
-        d if v == tree.root else d + 1 for v, d in enumerate(outdeg)
-    )
-    return DegreeView(deg=deg, outdeg=outdeg)
 
 
 def is_path(tree: RootedTree) -> bool:
-    """True iff the underlying unrooted graph is a path (single vertex counts)."""
-    return all(d <= 2 for d in degrees(tree).deg)
+    """True iff the underlying unrooted graph is a path (single vertex counts).
+
+    Every non-root vertex has at most one child, the root at most two.
+    """
+    top = int(tree.outdeg[tree.root])
+    return top <= 2 and int(np.count_nonzero(tree.outdeg > 1)) == (top == 2)
 
 
-def line_flags(tree: RootedTree) -> list[bool]:
-    """Per-vertex flag: is the hanging subtree a line (single vertex counts)."""
-    flags = [False] * tree.n
-    children = tree.children
-    for v in reversed(tree.order):
-        kids = children[v]
-        flags[v] = not kids or (len(kids) == 1 and flags[kids[0]])
-    return flags
+def chain_ends(tree: RootedTree) -> np.ndarray:
+    """For each vertex, the first vertex at or below it whose outdegree is
+    not 1, found by pointer doubling down the only-child chains."""
+    parents, outdeg = tree.parents, tree.outdeg
+    only = (outdeg[parents] == 1).nonzero()[0]
+    only = only[parents[only] >= 0]  # the root's -1 would index vertex n - 1
+    end = np.arange(tree.n)
+    end[parents[only]] = only
+    while True:
+        jump = end[end]
+        if (jump == end).all():
+            return end
+        end = jump
+
+
+def line_flags(tree: RootedTree) -> np.ndarray:
+    """Per-vertex flag: is the hanging subtree a line (single vertex counts).
+
+    It is iff the chain of only children below the vertex ends at a leaf.
+    """
+    return tree.outdeg[chain_ends(tree)] == 0
 
 
 def serialize(tree: RootedTree) -> str:
@@ -142,9 +207,8 @@ def serialize(tree: RootedTree) -> str:
     First line is the vertex count, then one line per vertex holding the
     parent index, or ``R`` for the root.  UTF-8, LF line endings.
     """
-    lines = [str(tree.n)]
-    for p in tree.parents:
-        lines.append(ROOT_TOKEN if p is None else str(p))
+    lines = [str(tree.n), *map(str, tree.parents.tolist())]
+    lines[1 + tree.root] = ROOT_TOKEN
     return "\n".join(lines) + "\n"
 
 
@@ -157,18 +221,30 @@ def parse(text: str) -> RootedTree:
         n = int(rows[0])
     except ValueError:
         raise TreeFormatError(f"first line must be the vertex count, got {rows[0]!r}")
-    if len(rows) - 1 != n:
-        raise TreeFormatError(f"expected {n} vertex lines, found {len(rows) - 1}")
-    parents: list[int | None] = []
-    for line in rows[1:]:
+    body = rows[1:]
+    if len(body) != n:
+        raise TreeFormatError(f"expected {n} vertex lines, found {len(body)}")
+    if body.count(ROOT_TOKEN) == 1:
+        body[body.index(ROOT_TOKEN)] = "-1"
+        try:
+            parents = np.array(body, dtype=np.int64)
+        except (ValueError, OverflowError):
+            pass  # a bad token: the loop below names it
+        else:
+            # A literal -1 would read as a second root, not as out of range.
+            if np.count_nonzero(parents == -1) == 1:
+                return build_from_parents(parents)
+        body = rows[1:]
+    entries: list[int | None] = []
+    for line in body:
         if line == ROOT_TOKEN:
-            parents.append(None)
+            entries.append(None)
         else:
             try:
-                parents.append(int(line))
+                entries.append(int(line))
             except ValueError:
                 raise TreeFormatError(f"bad parent entry {line!r}")
-    return build_from_parents(parents)
+    return build_from_parents(entries)
 
 
 def write_tree(tree: RootedTree, path) -> None:

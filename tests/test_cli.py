@@ -232,6 +232,28 @@ class TestBadInput:
         assert code == 2 and err.startswith("error:") and "nan" in err
         assert "value" not in out
 
+    @pytest.mark.parametrize("command", ["constant", "generate"])
+    def test_non_utf8_pmf(self, tmp_path, capsys, command):
+        pmf = tmp_path / "pmf.txt"
+        pmf.write_bytes(b"0.5\n\xff\n0.5\n")
+        argv = [command, "--model", "gw", "--pmf", str(pmf)]
+        if command == "generate":
+            argv += ["-n", "5", "--seed", "1"]
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error:") and "pmf.txt" in err
+
+    def test_tree_file_is_directory(self, tmp_path, capsys):
+        code, _, err = run(capsys, "md", str(tmp_path))
+        assert code == 2 and err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["constant", "generate"])
+    def test_pmf_is_directory(self, tmp_path, capsys, command):
+        argv = [command, "--model", "gw", "--pmf", str(tmp_path)]
+        if command == "generate":
+            argv += ["-n", "5", "--seed", "1"]
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error:")
+
     def test_mary_constant_overflow(self, capsys):
         code, _, err = run(capsys, "constant", "--model", "mary", "--m", "200")
         assert code == 2 and "c_mary(200)" in err

@@ -1,4 +1,8 @@
+from collections import Counter
+
 import pytest
+import tuple_core
+from hypothesis import given, settings
 
 from treedim import (
     RngSpec,
@@ -13,6 +17,8 @@ from treedim import (
     sample_uniform_tree,
 )
 from treedim.errors import IsPath
+from treedim.fringe import subtree_sizes
+from treedim.tree import line_flags
 
 
 def chain(n):
@@ -140,3 +146,22 @@ class TestEpsilonAudit:
             assert abs(audit.n_pk - audit.exterior) <= 1
             report = md_report(t)
             assert audit.beta == report.beta
+
+
+class TestTupleCoreOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(tuple_core.tree_lists())
+    def test_counts_and_sizes_match_tuple_core(self, parents):
+        t = build_from_parents(parents)
+        ref = tuple_core.build_from_parents(parents)
+        flags = tuple_core.line_flags(ref)
+        sizes = tuple_core.subtree_sizes(ref)
+        assert line_flags(t).tolist() == flags
+        assert subtree_sizes(t) == sizes
+        assert count_subtree_property(t, is_line) == sum(flags)
+        assert count_subtree_property(t, is_pl) == sum(not kids for kids in ref.children)
+        assert count_subtree_property(t, is_pk) == sum(
+            len(kids) >= 2 and any(flags[c] for c in kids) for kids in ref.children
+        )
+        # Key order too: the histogram lists sizes by first vertex.
+        assert list(fringe_size_counts(t).items()) == list(Counter(sizes).items())

@@ -1,6 +1,8 @@
 from itertools import product
 
 import pytest
+import tuple_core
+from hypothesis import given, settings
 
 from treedim import (
     RngSpec,
@@ -72,14 +74,12 @@ class TestReport:
 
     def test_exterior_majors_have_degree_three(self):
         rng = RngSpec(21).stream(0)
-        from treedim import degrees
-
         for _ in range(50):
             t = sample_uniform_tree(int(rng.integers(4, 40)), rng)
             report = md_report(t)
             if report.is_path:
                 continue
-            deg = degrees(t).deg
+            deg = (t.outdeg + (t.parents >= 0)).tolist()
             assert all(deg[v] >= 3 for v in report.exterior_major)
             assert len(report.leaves) > len(report.exterior_major)
 
@@ -151,6 +151,8 @@ class TestOracleEquivalence:
                 t = build_from_parents([None, *choice])
                 expected = md_report(t)
                 assert expected.beta == brute_force_md(t)[0]
+                reference = tuple_core.build_from_parents([None, *choice])
+                assert expected == tuple_core.md_report(reference)
                 adj = t.adjacency()
                 for root in range(1, n):
                     report = md_report(build_from_parents(rerooted(adj, root)))
@@ -183,3 +185,9 @@ class TestOracleEquivalence:
             rng = spec.stream(i)
             t = sample_uniform_tree(int(rng.integers(2, 13)), rng)
             assert md_report(t).beta == brute_force_md(t)[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(tuple_core.tree_lists())
+    def test_matches_tuple_core(self, parents):
+        expected = tuple_core.md_report(tuple_core.build_from_parents(parents))
+        assert md_report(build_from_parents(parents)) == expected

@@ -1,11 +1,12 @@
+import numpy as np
 import pytest
+import tuple_core
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treedim import (
     RngSpec,
     build_from_parents,
-    degrees,
     is_path,
     parse,
     read_tree,
@@ -18,6 +19,7 @@ from treedim.errors import (
     MultipleRoots,
     NoRoot,
     TreeFormatError,
+    TreeStructureError,
 )
 
 
@@ -27,6 +29,10 @@ def chain(n):
 
 def star(leaves):
     return build_from_parents([None] + [0] * leaves)
+
+
+def unrooted_degrees(t):
+    return (t.outdeg + (t.parents >= 0)).tolist()
 
 
 class TestBuild:
@@ -107,26 +113,125 @@ class TestBuild:
         assert t.order == (3, 0, 1, 2, 5, 4)
 
 
+def assert_same_build(arg, reference_input):
+    """``build_from_parents(arg)`` agrees with the tuple core on
+    ``reference_input``: the same tree, or the same error and vertex."""
+    try:
+        expected = tuple_core.build_from_parents(reference_input)
+    except TreeStructureError as exc:
+        with pytest.raises(TreeStructureError) as err:
+            build_from_parents(arg)
+        assert type(err.value) is type(exc)
+        assert str(err.value) == str(exc) and err.value.vertex == exc.vertex
+        return
+    t = build_from_parents(arg)
+    assert [None if p < 0 else p for p in t.parents.tolist()] == list(expected.parents)
+    assert t.root == expected.root
+    assert t.children == expected.children and t.order == expected.order
+    assert t.outdeg.tolist() == [len(kids) for kids in expected.children]
+
+
+ENTRIES = st.one_of(
+    st.none(), st.integers(-2, 10), st.sampled_from([1.0, True, "0", 2**70])
+)
+
+
+class TestTupleCoreOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(ENTRIES, max_size=9))
+    def test_sequence_form_matches_reference(self, parents):
+        assert_same_build(parents, parents)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(-3, 9), max_size=9),
+        st.sampled_from([np.int64, np.int32, np.int8]),
+    )
+    def test_ndarray_form_matches_reference(self, entries, dtype):
+        # -1 marks the root; a second -1 is a second root, other negatives
+        # are out of range.
+        expected = [None if p == -1 else p for p in entries]
+        assert_same_build(np.array(entries, dtype=dtype), expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tuple_core.tree_lists())
+    def test_valid_trees_match_reference(self, parents):
+        assert_same_build(parents, parents)
+        array = np.array([-1 if p is None else p for p in parents])
+        assert build_from_parents(array) == build_from_parents(parents)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-2, 9).map(str),
+                st.sampled_from(["R", "R", "-01", "x", "99999999999999999999"]),
+            ),
+            min_size=1,
+            max_size=9,
+        )
+    )
+    def test_parse_matches_reference(self, tokens):
+        # A literal -1 (or -01) is out of range, never a second root.
+        text = f"{len(tokens)}\n" + "\n".join(tokens) + "\n"
+        try:
+            entries = [None if t == "R" else int(t) for t in tokens]
+        except ValueError:
+            bad = next(t for t in tokens if t == "x")
+            with pytest.raises(TreeFormatError, match=f"bad parent entry '{bad}'"):
+                parse(text)
+            return
+        try:
+            expected = tuple_core.build_from_parents(entries)
+        except TreeStructureError as exc:
+            with pytest.raises(type(exc)) as err:
+                parse(text)
+            assert str(err.value) == str(exc) and err.value.vertex == exc.vertex
+            return
+        assert parse(text).parents.tolist() == [-1 if p is None else p for p in expected.parents]
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.array([-1.0, 0.0]),
+            np.array([True, False]),
+            np.array([[-1, 0]]),
+            np.array([255, 0], dtype=np.uint8),
+        ],
+        ids=["float", "bool", "2-D", "unsigned"],
+    )
+    def test_ndarray_needs_signed_integer_vector(self, array):
+        with pytest.raises(IndexOutOfRange, match="signed integer"):
+            build_from_parents(array)
+
+    def test_ndarray_is_copied_and_read_only(self):
+        source = np.array([-1, 0, 0])
+        t = build_from_parents(source)
+        source[1] = 2
+        assert t.parents.tolist() == [-1, 0, 0]
+        with pytest.raises(ValueError):
+            t.parents[1] = 2
+
+
 class TestDegrees:
     def test_single(self):
-        view = degrees(build_from_parents([None]))
-        assert view.deg == (0,) and view.outdeg == (0,)
+        t = build_from_parents([None])
+        assert unrooted_degrees(t) == [0] and t.outdeg.tolist() == [0]
 
     def test_chain(self):
-        assert degrees(chain(3)).deg == (1, 2, 1)
+        assert unrooted_degrees(chain(3)) == [1, 2, 1]
 
     def test_star(self):
-        view = degrees(star(3))
-        assert view.deg == (3, 1, 1, 1)
-        assert view.outdeg == (3, 0, 0, 0)
+        t = star(3)
+        assert unrooted_degrees(t) == [3, 1, 1, 1]
+        assert t.outdeg.tolist() == [3, 0, 0, 0]
 
     def test_degree_sum_is_twice_edges(self):
         rng = RngSpec(5).stream(0)
         for _ in range(25):
             t = sample_uniform_tree(int(rng.integers(1, 40)), rng)
-            view = degrees(t)
-            assert sum(view.deg) == 2 * (t.n - 1)
-            assert sum(1 for d in view.outdeg if d == 0) >= 1
+            assert sum(unrooted_degrees(t)) == 2 * (t.n - 1)
+            assert sum(1 for d in t.outdeg.tolist() if d == 0) >= 1
 
 
 class TestIsPath:

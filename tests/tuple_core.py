@@ -1,0 +1,178 @@
+"""Reference tree core: tuple parents with ``None`` at the root, children
+tuples and a breadth-first order, walked by Python loops.
+
+This is the representation ``treedim.tree`` used before the parent array
+became the tree.  The tests compare the array core against it: build
+results and errors, line flags, ``md_report`` and subtree sizes.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from hypothesis import strategies as st
+
+from treedim.errors import CycleDetected, IndexOutOfRange, MultipleRoots, NoRoot
+from treedim.metric_dimension import MDReport
+
+
+@dataclass(frozen=True)
+class TupleTree:
+    parents: tuple[int | None, ...]
+    children: tuple[tuple[int, ...], ...]
+    root: int
+    order: tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.parents)
+
+
+def build_from_parents(parents) -> TupleTree:
+    n = len(parents)
+    if n == 0:
+        raise NoRoot("empty parent list")
+    root: int | None = None
+    children: list[list[int]] = [[] for _ in range(n)]
+    for v, p in enumerate(parents):
+        if p is None:
+            if root is not None:
+                raise MultipleRoots(
+                    f"vertex {v} has no parent but vertex {root} is already the root",
+                    vertex=v,
+                )
+            root = v
+        else:
+            if not isinstance(p, int) or isinstance(p, bool):
+                raise IndexOutOfRange(
+                    f"vertex {v} has non-integer parent {p!r}", vertex=v
+                )
+            if not 0 <= p < n:
+                raise IndexOutOfRange(
+                    f"vertex {v} has parent {p}, outside 0..{n - 1}", vertex=v
+                )
+            if p == v:
+                raise CycleDetected(f"vertex {v} is its own parent", vertex=v)
+            children[p].append(v)
+    if root is None:
+        raise NoRoot("every vertex has a parent; no root")
+    order = [root]
+    for v in order:
+        order.extend(children[v])
+    if len(order) < n:
+        start = min(set(range(n)).difference(order))
+        raise CycleDetected(
+            f"vertex {start} cannot reach the root (parent cycle)", vertex=start
+        )
+    return TupleTree(
+        parents=tuple(parents),
+        children=tuple(map(tuple, children)),
+        root=root,
+        order=tuple(order),
+    )
+
+
+def line_flags(tree: TupleTree) -> list[bool]:
+    flags = [False] * tree.n
+    children = tree.children
+    for v in reversed(tree.order):
+        kids = children[v]
+        flags[v] = not kids or (len(kids) == 1 and flags[kids[0]])
+    return flags
+
+
+def md_report(tree: TupleTree) -> MDReport:
+    children, root = tree.children, tree.root
+    line = line_flags(tree)
+    top = children[root]
+    leaves = tuple(v for v, kids in enumerate(children) if len(kids) == (v == root))
+    if len(top) <= 2 and all(line[c] for c in top):
+        return MDReport(
+            leaves=leaves,
+            exterior_major=(),
+            beta=0 if tree.n == 1 else 1,
+            is_path=True,
+        )
+    exterior = {
+        v
+        for v, kids in enumerate(children)
+        if len(kids) >= 2 + (v == root) and any(line[c] for c in kids)
+    }
+    heavy = [c for c in top if not line[c]]
+    if len(top) <= 2 and len(heavy) == 1:
+        v = heavy[0]
+        while len(children[v]) == 1:
+            v = children[v][0]
+        exterior.add(v)
+    exterior_major = tuple(sorted(exterior))
+    return MDReport(
+        leaves=leaves,
+        exterior_major=exterior_major,
+        beta=len(leaves) - len(exterior_major),
+        is_path=False,
+    )
+
+
+def subtree_sizes(tree: TupleTree) -> list[int]:
+    sizes = [1] * tree.n
+    for v in reversed(tree.order):
+        for c in tree.children[v]:
+            sizes[v] += sizes[c]
+    return sizes
+
+
+def reroot(parents, root: int) -> list[int | None]:
+    """The parent list of the same unrooted tree, rooted at ``root``."""
+    adj: list[list[int]] = [[] for _ in parents]
+    for v, p in enumerate(parents):
+        if p is not None:
+            adj[v].append(p)
+            adj[p].append(v)
+    out: list[int | None] = [None] * len(parents)
+    stack = [root]
+    seen = {root}
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                out[w] = v
+                stack.append(w)
+    return out
+
+
+def random_tree(rng, n: int, shape: str, shuffled: bool, root: int) -> list[int | None]:
+    """A parent list with ``None`` at the root, drawn from numpy's ``rng``.
+
+    ``shape`` is ``random`` (parent of v uniform below v), ``path`` (a
+    path with a few random jumps, so pointer doubling runs many rounds) or
+    ``caterpillar`` (a spine with leaves hanging off it).  ``shuffled``
+    relabels the vertices at random; the tree is then rerooted at ``root``.
+    """
+    v = np.arange(1, n)
+    if shape == "random":
+        picks = (rng.random(n - 1) * v).astype(np.int64)
+    elif shape == "path":
+        jumps = rng.random(n - 1) < 0.05
+        picks = np.where(jumps, (rng.random(n - 1) * v).astype(np.int64), v - 1)
+    else:
+        spine = int(rng.integers(1, n + 1))
+        picks = np.where(v < spine, v - 1, rng.integers(0, spine, size=n - 1))
+    parents = [None, *picks.tolist()]
+    if shuffled:
+        perm = rng.permutation(n).tolist()
+        relabelled: list[int | None] = [None] * n
+        for u, p in enumerate(parents):
+            relabelled[perm[u]] = None if p is None else perm[p]
+        parents = relabelled
+    return reroot(parents, root % n)
+
+
+@st.composite
+def tree_lists(draw, max_n: int = 150):
+    """Hypothesis strategy for :func:`random_tree` parent lists."""
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(("random", "path", "caterpillar")))
+    return random_tree(rng, n, shape, draw(st.booleans()), draw(st.integers(0, n - 1)))
