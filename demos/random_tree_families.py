@@ -31,7 +31,7 @@ pmf = OffspringPmf.poisson(1.0)
 tree = sample_conditioned_gw(pmf, 12, spec.stream(0))
 print("  children lists:", list(tree.children))
 
-print("\nUniform labeled tree via a random Pruefer sequence (n = 12):")
+print("\nUniform labeled tree: 11 balls in 12 boxes as outdegrees, uniform labels (n = 12):")
 tree = sample_uniform_tree(12, spec.stream(1))
 print("  degrees:", degrees(tree))
 

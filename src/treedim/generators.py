@@ -7,11 +7,14 @@ function of ``(master_seed, trial)``.
 Families:
 
 * critical branching trees conditioned on their size (exact, via the
-  cycle-lemma rotation of the offspring walk);
-* uniform labeled trees (random Pruefer sequence, uniformly rooted);
+  cycle-lemma rotation of the offspring walk, Devroye 2012; the tree is read
+  off its depth-first outdegree sequence in O(n) array passes);
+* uniform labeled trees (the Poisson(1) case with no rejection: n - 1 balls
+  in n boxes give the outdegrees and uniform labels name the vertices,
+  Aldous 1991; O(n) array passes);
 * linear-attachment growth trees with weight ``rho + chi * children(v)``
-  (uniform picks, edge-endpoint copying or free-slot lists, O(1) per
-  attachment);
+  (uniform picks, edge-endpoint copying or free-slot lists, O(n) array
+  passes);
 * the continuous-time embedding of the same growth rule (event queue),
   stopped at a fixed size or at an independent exponential "doomsday" time;
 * the increasing-rate exponential clock H used in line-survival analysis.
@@ -184,17 +187,44 @@ class ExpDoomsday:
 REJECTION_BUDGET = 1_000_000
 
 
-def _tree_from_preorder_degrees(degs: list[int]) -> RootedTree:
-    parents = [-1] * len(degs)
-    stack = [(0, degs[0])]
-    for v in range(1, len(degs)):
-        while stack[-1][1] == 0:
-            stack.pop()
-        parent, remaining = stack[-1]
-        stack[-1] = (parent, remaining - 1)
-        parents[v] = parent
-        stack.append((v, degs[v]))
-    return build_from_parents(np.array(parents))
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for nonnegative integer keys.
+
+    Sorts stably by one 16-bit digit at a time, least significant first;
+    numpy sorts 16-bit keys by radix sort, so each pass is O(n).
+    """
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    top = int(keys.max()) if keys.size else 0
+    for shift in range(16, top.bit_length(), 16):
+        digit = (keys[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+    return order
+
+
+def _lukasiewicz_parents(degs: np.ndarray) -> np.ndarray:
+    """Parent array of the ordered tree whose depth-first outdegrees are
+    a cyclic shift of ``degs`` (n values summing to n - 1), vertices
+    numbered depth-first from the root 0.
+
+    Rotates to the unique shift whose walk x_v = sum_{u<v} (d_u - 1) stays
+    nonnegative (the cycle lemma), then reads the tree off the walk: vertex
+    u pushes stack slots at heights x_u .. x_u + d_u - 1 and vertex v >= 1
+    pops the slot at height x_v.  At each height pushes and pops alternate
+    in time, so the k-th pop in (height, time) order is a child of the
+    vertex behind the k-th push in that order.
+    """
+    n = degs.size
+    pivot = int(np.argmin(np.cumsum(degs - 1)))  # first minimum
+    degs = np.concatenate([degs[pivot + 1 :], degs[: pivot + 1]])
+    owner = np.repeat(np.arange(n), degs)  # who pushes each slot, in time order
+    before = np.cumsum(degs) - degs  # slots pushed before each vertex
+    # x_u + j for the j-th slot of u is (slot index) - u; x_v is before[v] - v.
+    pushes = _stable_order(np.arange(n - 1) - owner)
+    pops = _stable_order(before[1:] - np.arange(1, n))
+    parents = np.empty(n, dtype=np.int64)
+    parents[0] = -1
+    parents[pops + 1] = owner[pushes]
+    return parents
 
 
 def sample_conditioned_gw(
@@ -209,9 +239,10 @@ def sample_conditioned_gw(
     values, until the counts add up to n - 1 children; shuffles the counts
     into a sequence, applies the unique cyclic rotation whose walk stays
     nonnegative until the final step and builds the ordered tree in
-    depth-first order (Devroye, SIAM J. Comput. 41(1), 2012).  Exact: given
-    its counts, an i.i.d. sequence is a uniform arrangement of them.
-    Acceptance is Theta(n^-1/2) for finite-variance critical offspring.
+    depth-first order (Devroye, SIAM J. Comput. 41(1), 2012), in O(n) array
+    passes.  Exact: given its counts, an i.i.d. sequence is a uniform
+    arrangement of them.  Acceptance is Theta(n^-1/2) for finite-variance
+    critical offspring.
     """
     if n < 1:
         raise InvalidParams(f"tree size must be >= 1, got {n}")
@@ -241,9 +272,7 @@ def sample_conditioned_gw(
         if hits.size:
             degs = np.repeat(values, counts[hits[0]])
             rng.shuffle(degs)
-            pivot = int(np.argmin(np.cumsum(degs - 1)))  # first minimum
-            rotated = np.concatenate([degs[pivot + 1 :], degs[: pivot + 1]])
-            return _tree_from_preorder_degrees(rotated.tolist())
+            return build_from_parents(_lukasiewicz_parents(degs))
     raise UnreachableSize(
         f"no size-{n} tree found within {rejection_budget} attempts"
     )
@@ -254,43 +283,24 @@ def sample_conditioned_gw(
 # ---------------------------------------------------------------------------
 
 
-def _prufer_parents(seq: np.ndarray, n: int) -> list[int]:
-    """Decode a Pruefer sequence into the parent array rooted at n - 1."""
-    degree = (np.bincount(seq, minlength=n) + 1).tolist()
-    parents = [-1] * n
-    ptr = degree.index(1)
-    leaf = ptr
-    for v in seq.tolist():
-        parents[leaf] = v
-        degree[v] -= 1
-        if degree[v] == 1 and v < ptr:
-            leaf = v
-        else:
-            ptr += 1
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    parents[leaf] = n - 1
-    return parents
-
-
 def sample_uniform_tree(n: int, rng: np.random.Generator) -> RootedTree:
     """Uniform labeled tree on n vertices, rooted at a uniform vertex.
 
-    Decodes a uniform Pruefer sequence of length n - 2, which is exact
-    because decoding is a bijection onto the n^(n-2) labeled trees.
+    Throws n - 1 balls into n boxes: the box counts are n Poisson(1) draws
+    conditioned on summing to n - 1, so their cycle-lemma rotation is the
+    depth-first outdegree sequence of a Poisson(1) branching tree of size n
+    (Devroye, SIAM J. Comput. 41(1), 2012), and uniform labels make it a
+    uniform rooted labeled tree (Aldous, The continuum random tree II, 1991).
+    Exact, with no rejection, in O(n) array passes.
     """
     if n < 1:
         raise InvalidParams(f"tree size must be >= 1, got {n}")
-    if n == 1:
-        return build_from_parents([None])
-    seq = rng.integers(0, n, size=n - 2) if n > 2 else np.empty(0, dtype=np.int64)
-    parents = _prufer_parents(seq, n)
-    # Re-root at a uniform vertex by reversing its path to n - 1.
-    prev, v = -1, int(rng.integers(0, n))
-    while v >= 0:
-        parents[v], prev, v = prev, v, parents[v]
-    return build_from_parents(np.array(parents))
+    parents = _lukasiewicz_parents(np.bincount(rng.integers(0, n, n - 1), minlength=n))
+    label = rng.permutation(n)
+    labeled = np.empty(n, dtype=np.int64)
+    labeled[label[0]] = -1
+    labeled[label[1:]] = label[parents[1:]]
+    return build_from_parents(labeled)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +345,7 @@ def _slot_attach(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
     picks = (rng.random(n - 1) * ((m - 1) * child + 1)).astype(np.int64)
     if m == 1:
         return child - 1  # the root's one slot passes down a path
-    by_slot = np.argsort(picks, kind="stable")
+    by_slot = _stable_order(picks)
     slot = picks[by_slot]
     parent = np.where(slot < m, 0, (slot - m) // (m - 1) + 1)
     again = np.flatnonzero(slot[1:] == slot[:-1]) + 1
@@ -349,9 +359,10 @@ def sample_pa_tree(params: PAParams, n: int, rng: np.random.Generator) -> Rooted
     """Grow a tree by attaching vertex i to v with probability proportional
     to rho + chi * children(v).
 
-    Exact at O(1) work per vertex: chi = 0 attaches to a uniform earlier
+    Exact, in O(n) array passes: chi = 0 attaches to a uniform earlier
     vertex, chi = +1 mixes that with copying the parent end of a uniform
-    edge, and chi = -1 fills a uniform free slot.
+    edge (plus O(log n) pointer-jumping rounds), and chi = -1 fills a
+    uniform free slot.
     """
     if n < 1:
         raise InvalidParams(f"tree size must be >= 1, got {n}")

@@ -24,6 +24,7 @@ from .errors import (
 )
 
 ROOT_TOKEN = "R"
+_ASCII_PADDING = " \t\r\x0b\x0c\x1c\x1d\x1e\x1f"  # ASCII whitespace but LF
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,9 +213,28 @@ def serialize(tree: RootedTree) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _rows(text: str) -> list[str]:
+    """The stripped non-blank lines of ``text``.
+
+    Splits on LF alone when that gives the same rows: ASCII text with no
+    whitespace but LF and no blank line.
+    """
+    if (
+        text.isascii()
+        and not any(c in text for c in _ASCII_PADDING)
+        and "\n\n" not in text
+        and not text.startswith("\n")
+    ):
+        rows = text.split("\n")
+        if not rows[-1]:
+            rows.pop()
+        return rows
+    return [line.strip() for line in text.splitlines() if line.strip()]
+
+
 def parse(text: str) -> RootedTree:
     """Decode the text format produced by :func:`serialize`, validating fully."""
-    rows = [line.strip() for line in text.splitlines() if line.strip()]
+    rows = _rows(text)
     if not rows:
         raise TreeFormatError("empty tree file")
     try:

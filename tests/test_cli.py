@@ -178,7 +178,7 @@ class TestGenerateDigests:
         "args, digest",
         [
             (("--model", "gw"), "b2eb03be11cb7e67f0a415aa1a5bc30a970f416e73bba1b595d8b49d582ae849"),
-            (("--model", "uniform"), "16fd9839ade343ad871206d29c220253cdae82c10333764c2f42cd9b692442bb"),
+            (("--model", "uniform"), "4d29dedbedbd81393e6f11dc15382a053c09d5746c682e52355bd6b91d5827cd"),
             (
                 ("--model", "pa", "--rho", "2", "--chi", "-1"),
                 "a285d59880160e2c1effe91a56426fc92ae8c0b72e56dddb54666c3207644ffa",

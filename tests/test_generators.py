@@ -1,10 +1,14 @@
 import hashlib
 import math
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
 import scipy.stats
+import tuple_core
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treedim import (
     CMJTree,
@@ -25,8 +29,10 @@ from treedim import (
     serialize,
     simulate_cmj,
 )
-from treedim.errors import InvalidParams, InvalidPmf, UnreachableSize
+from treedim.errors import InvalidParams, InvalidPmf, TreeStructureError, UnreachableSize
 from treedim.fringe import subtree_sizes
+from treedim.generators import _lukasiewicz_parents, _stable_order
+from treedim.tree import build_from_parents
 from treedim.verify import EMBEDDING_PARAMS, FIGURE_GRID
 
 
@@ -486,7 +492,7 @@ class TestGoldenStreams:
     DIGESTS = {
         "gw-poisson": "5ffd39bd1b5e890e63993f6d24ace4a34659c48f55557acc81f86dbf397d56c1",
         "gw-geometric": "816e7abbda4f7fc9f5ad64ebd02c373ff532bffc2c459181d6f44213395f0e6d",
-        "uniform": "b8a745ad372cfebd75bd6d4d6c9a14cc8218862615fbeb1652cdff36eea43754",
+        "uniform": "6c5951f0c27bc1d61fb31cfe93e06ad275e6d20da57fed8ccedf1c547e0c8cf8",
         "pa(2.0,-1)": "6297f039791585b4f69e627e08e0ad1a3cb126827ec10259c48d9d8414cc7901",
         "pa(3.0,-1)": "7022795b444f0eb11ad245f337a98d49621ba2ecf18a6643777c3bd1bc9a1a2c",
         "pa(4.0,-1)": "a41053cf3ecfa75d30b9324b738100cba7dde39365716a30fe56f5c6367b8893",
@@ -514,7 +520,7 @@ class TestGoldenStreams:
 
 
 class TestExactLaws:
-    """Samples at n = 5 against the exact enumerated laws."""
+    """Samples at n = 4 and 5 against the exact enumerated laws."""
 
     TRIALS = 40_000
 
@@ -530,6 +536,25 @@ class TestExactLaws:
         )
         p_value = chi2_pvalue(counts, law, self.TRIALS)
         assert p_value > 1e-3, (rho, chi, p_value)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_uniform_rooted_labelled_law(self, n):
+        # Every one of the n^(n-1) rooted labelled trees is equally likely.
+        law = {}
+        for parents in product(range(-1, n), repeat=n):
+            try:
+                build_from_parents(np.array(parents))
+            except TreeStructureError:
+                continue
+            law[parents] = 0.0
+        assert len(law) == n ** (n - 1)
+        law = dict.fromkeys(law, 1 / len(law))
+        rng = RngSpec(32).stream(n)
+        counts = Counter(
+            tuple(sample_uniform_tree(n, rng).parents.tolist()) for _ in range(self.TRIALS)
+        )
+        p_value = chi2_pvalue(counts, law, self.TRIALS)
+        assert p_value > 1e-3, (n, p_value)
 
     def test_geometric_gw_shape_law(self):
         law = gw_shape_distribution(GEOMETRIC, 5)
@@ -572,10 +597,54 @@ class TestNetworkxOracle:
             for v, p in enumerate(tree.parents.tolist()):
                 assert p < 0 or position[p] < position[v], (name, n, v)
 
-    def test_uniform_matches_prufer_decoding(self, nx):
-        # the sampler draws the sequence first, then the root
-        for n in (2, 3, 10, 500):
-            seq = RngSpec(30).stream(n).integers(0, n, size=n - 2)
-            tree = sample_uniform_tree(n, RngSpec(30).stream(n))
-            expected = nx.from_prufer_sequence(seq.tolist())
-            assert edge_set(tree) == {frozenset(e) for e in expected.edges}
+
+class TestLukasiewiczOracle:
+    """The radix-order tree build against the stack walk it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tuple_core.lukasiewicz_words(), st.integers(0, 10**6))
+    @example([0], 0)
+    @example([1, 0], 1)
+    def test_build_matches_stack_walk(self, word, shift):
+        expected = tuple_core.preorder_parents(word)
+        assert _lukasiewicz_parents(np.array(word)).tolist() == expected
+        # The cycle lemma maps every cyclic shift back to the word itself.
+        shifted = np.roll(np.array(word), shift % len(word))
+        assert _lukasiewicz_parents(shifted).tolist() == expected
+
+    @pytest.mark.parametrize(
+        "word",
+        [
+            [1] * 999 + [0],
+            [70_000] + [0] * 70_000,
+            [2] * 70_000 + [0] * 70_001,
+            [2] + [1] * 40_000 + [0] * 2,
+        ],
+        ids=["path", "wide-star", "comb", "two-long-legs"],
+    )
+    def test_extreme_shapes(self, word):
+        # The star's and the comb's stack heights run past 2^16, which takes
+        # a second 16-bit pass.
+        expected = tuple_core.preorder_parents(word)
+        assert _lukasiewicz_parents(np.array(word)).tolist() == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([2**16 - 1, 2**32 - 1, 5 * 10**9, 2**62]).flatmap(
+            lambda top: st.lists(
+                st.one_of(
+                    st.integers(0, top),
+                    st.integers(0, 3).map(lambda k: k << 16),
+                    st.integers(0, 3).map(lambda k: k << 32),
+                ),
+                max_size=60,
+            )
+        )
+    )
+    @example([])
+    @example([7] * 20)
+    @example([2**40] * 5)
+    def test_stable_order_matches_argsort(self, keys):
+        keys = np.array(keys, dtype=np.int64)
+        expected = np.argsort(keys, kind="stable")
+        assert _stable_order(keys).tolist() == expected.tolist()

@@ -190,6 +190,45 @@ class TestTupleCoreOracle:
             return
         assert parse(text).parents.tolist() == [-1 if p is None else p for p in expected.parents]
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["", "", "", " ", "\t", "\x0c", "\x1f", "\xa0"]),
+                st.one_of(st.integers(-2, 9).map(str), st.sampled_from(["R", "R", "x", "1 2"])),
+                st.sampled_from(["", "", "", " ", "\t", "\x1f", "\xa0"]),
+                st.sampled_from(
+                    ["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x85", "\u2028", "\n\n", "\n \n"]
+                ),
+            ),
+            max_size=9,
+        ),
+        st.integers(-1, 1),
+        st.sampled_from(["plain", "blank", "mixed"]),
+        st.sampled_from(["", "", "\n", "\n\n", " "]),
+        st.booleans(),
+    )
+    def test_parse_matches_line_comprehension(self, rows, miscount, style, lead, trailing):
+        # ``plain`` keeps LF rows without padding, the text a serializer
+        # writes; ``blank`` adds blank lines; ``mixed`` rows also carry CR,
+        # VT, NEL and padding.
+        if style != "mixed":
+            rows = [
+                ("", token, "", "\n" if style == "plain" or sep != "\n\n" else sep)
+                for _, token, _, sep in rows
+            ]
+        text = lead + f"{len(rows) + miscount}\n" + "".join(map("".join, rows))
+        if not trailing:
+            text = text.rstrip("\n")
+
+        def outcome(parser):
+            try:
+                return parser(text).parents.tolist()
+            except (TreeFormatError, TreeStructureError) as exc:
+                return type(exc), str(exc), getattr(exc, "vertex", None)
+
+        assert outcome(parse) == outcome(tuple_core.parse)
+
     @pytest.mark.parametrize(
         "array",
         [

@@ -3,7 +3,9 @@ tuples and a breadth-first order, walked by Python loops.
 
 This is the representation ``treedim.tree`` used before the parent array
 became the tree.  The tests compare the array core against it: build
-results and errors, line flags, ``md_report`` and subtree sizes.
+results and errors, line flags, ``md_report`` and subtree sizes.  Two
+earlier loops serve as oracles too: the stack walk that turned depth-first
+outdegrees into parents, and ``parse`` with its line comprehension.
 """
 
 from __future__ import annotations
@@ -13,8 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 from hypothesis import strategies as st
 
-from treedim.errors import CycleDetected, IndexOutOfRange, MultipleRoots, NoRoot
+from treedim.errors import (
+    CycleDetected,
+    IndexOutOfRange,
+    MultipleRoots,
+    NoRoot,
+    TreeFormatError,
+)
 from treedim.metric_dimension import MDReport
+from treedim.tree import ROOT_TOKEN, RootedTree
+from treedim.tree import build_from_parents as build_array
 
 
 @dataclass(frozen=True)
@@ -176,3 +186,66 @@ def tree_lists(draw, max_n: int = 150):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = draw(st.sampled_from(("random", "path", "caterpillar")))
     return random_tree(rng, n, shape, draw(st.booleans()), draw(st.integers(0, n - 1)))
+
+
+def preorder_parents(degs: list[int]) -> list[int]:
+    """Parents of the ordered tree with depth-first outdegrees ``degs``
+    (a Lukasiewicz word), by a stack of (vertex, children still to come)."""
+    parents = [-1] * len(degs)
+    stack = [(0, degs[0])]
+    for v in range(1, len(degs)):
+        while stack[-1][1] == 0:
+            stack.pop()
+        parent, remaining = stack[-1]
+        stack[-1] = (parent, remaining - 1)
+        parents[v] = parent
+        stack.append((v, degs[v]))
+    return parents
+
+
+@st.composite
+def lukasiewicz_words(draw, max_n: int = 200):
+    """Depth-first outdegree sequences of ordered trees: drawn degrees are
+    taken while children are still owed, then leaves fill the rest."""
+    owed, word = 1, []
+    for d in draw(st.lists(st.integers(0, 5), max_size=max_n)):
+        if owed == 0:
+            break
+        word.append(d)
+        owed += d - 1
+    return word + [0] * owed
+
+
+def parse(text: str) -> RootedTree:
+    """``treedim.tree.parse`` with every line stripped and blank ones dropped."""
+    rows = [line.strip() for line in text.splitlines() if line.strip()]
+    if not rows:
+        raise TreeFormatError("empty tree file")
+    try:
+        n = int(rows[0])
+    except ValueError:
+        raise TreeFormatError(f"first line must be the vertex count, got {rows[0]!r}")
+    body = rows[1:]
+    if len(body) != n:
+        raise TreeFormatError(f"expected {n} vertex lines, found {len(body)}")
+    if body.count(ROOT_TOKEN) == 1:
+        body[body.index(ROOT_TOKEN)] = "-1"
+        try:
+            parents = np.array(body, dtype=np.int64)
+        except (ValueError, OverflowError):
+            pass  # a bad token: the loop below names it
+        else:
+            # A literal -1 would read as a second root, not as out of range.
+            if np.count_nonzero(parents == -1) == 1:
+                return build_array(parents)
+        body = rows[1:]
+    entries: list[int | None] = []
+    for line in body:
+        if line == ROOT_TOKEN:
+            entries.append(None)
+        else:
+            try:
+                entries.append(int(line))
+            except ValueError:
+                raise TreeFormatError(f"bad parent entry {line!r}")
+    return build_array(entries)
