@@ -540,15 +540,16 @@ class TestExactLaws:
     @pytest.mark.parametrize("n", [4, 5])
     def test_uniform_rooted_labelled_law(self, n):
         # Every one of the n^(n-1) rooted labelled trees is equally likely.
-        law = {}
-        for parents in product(range(-1, n), repeat=n):
+        def is_tree(parents):
             try:
                 build_from_parents(np.array(parents))
             except TreeStructureError:
-                continue
-            law[parents] = 0.0
-        assert len(law) == n ** (n - 1)
-        law = dict.fromkeys(law, 1 / len(law))
+                return False
+            return True
+
+        trees = [p for p in product(range(-1, n), repeat=n) if is_tree(p)]
+        assert len(trees) == n ** (n - 1)
+        law = dict.fromkeys(trees, 1 / len(trees))
         rng = RngSpec(32).stream(n)
         counts = Counter(
             tuple(sample_uniform_tree(n, rng).parents.tolist()) for _ in range(self.TRIALS)
