@@ -141,26 +141,26 @@ def _cmd_fringe(args) -> int:
     return 0
 
 
+# Model name -> (evaluator of the parsed arguments and the quadrature
+# spec, the flags the evaluator reads).
+_CONSTANT_MODELS = {
+    "gw": (lambda args, spec: c_gw(_load_pmf(args.pmf)), ()),
+    "mary": (lambda args, spec: c_mary(args.m), ("m",)),
+    "rrt": (lambda args, spec: c_rrt(spec), ()),
+    "rich": (lambda args, spec: c_rich(args.rho, spec), ("rho",)),
+    "general": (lambda args, spec: c_general(args.rho, args.chi, spec), ("rho", "chi")),
+}
+
+
 def _cmd_constant(args) -> int:
     spec = QuadratureSpec() if args.tol is None else QuadratureSpec(
         rel_tol=args.tol, abs_tol=args.tol * 1e-2
     )
-    if args.model == "gw":
-        result = c_gw(_load_pmf(args.pmf))
-    elif args.model == "mary":
-        if args.m is None:
-            raise TreedimError("model 'mary' needs --m")
-        result = c_mary(args.m)
-    elif args.model == "rrt":
-        result = c_rrt(spec)
-    elif args.model == "rich":
-        if args.rho is None:
-            raise TreedimError("model 'rich' needs --rho")
-        result = c_rich(args.rho, spec)
-    else:
-        if args.rho is None or args.chi is None:
-            raise TreedimError("model 'general' needs --rho and --chi")
-        result = c_general(args.rho, args.chi, spec)
+    evaluate, flags = _CONSTANT_MODELS[args.model]
+    if any(getattr(args, flag) is None for flag in flags):
+        needs = " and ".join(f"--{flag}" for flag in flags)
+        raise TreedimError(f"model {args.model!r} needs {needs}")
+    result = evaluate(args, spec)
     print(f"value     {result.value:.12g}")
     print(f"abs_error {result.abs_error_estimate:.3g}")
     print(f"method    {result.method}")
@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     fr.set_defaults(func=_cmd_fringe)
 
     co = sub.add_parser("constant", help="evaluate a limiting constant")
-    co.add_argument("--model", required=True, choices=("gw", "mary", "rrt", "rich", "general"))
+    co.add_argument("--model", required=True, choices=tuple(_CONSTANT_MODELS))
     co.add_argument("--rho", type=float)
     co.add_argument("--chi", type=int, choices=(-1, 0, 1))
     co.add_argument("--m", type=int, help="slot count for the mary model")

@@ -50,6 +50,17 @@ def lower_incomplete_gamma(s: float, t: float) -> float:
         ) from None
 
 
+# Iteration cap of both branches of ``_lower_incomplete_gamma``; reaching it
+# raises rather than return an unconverged value.
+GAMMA_MAX_ITER = 500
+
+
+def _unconverged(s: float, t: float) -> DomainError:
+    return DomainError(
+        f"lower_incomplete_gamma({s}, {t}) did not converge in {GAMMA_MAX_ITER} iterations"
+    )
+
+
 def _lower_incomplete_gamma(s: float, t: float) -> float:
     lgam = math.lgamma(s)
     if t < s + 1.0:
@@ -57,12 +68,14 @@ def _lower_incomplete_gamma(s: float, t: float) -> float:
         term = 1.0 / s
         total = term
         k = s
-        for _ in range(500):
+        for _ in range(GAMMA_MAX_ITER):
             k += 1.0
             term *= t / k
             total += term
             if abs(term) < abs(total) * 1e-16:
                 break
+        else:
+            raise _unconverged(s, t)
         return total * math.exp(-t + s * math.log(t))
     # Upper tail Q(s,t) by Lentz continued fraction, then gamma = (1-Q)Gamma.
     tiny = 1e-300
@@ -70,7 +83,7 @@ def _lower_incomplete_gamma(s: float, t: float) -> float:
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, 500):
+    for i in range(1, GAMMA_MAX_ITER + 1):
         an = -i * (i - s)
         b += 2.0
         d = an * d + b
@@ -84,6 +97,8 @@ def _lower_incomplete_gamma(s: float, t: float) -> float:
         h *= delta
         if abs(delta - 1.0) < 1e-16:
             break
+    else:
+        raise _unconverged(s, t)
     upper = math.exp(-t + s * math.log(t) - lgam) * h
     return math.exp(lgam) * (1.0 - upper)
 

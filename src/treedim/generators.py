@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, InvalidPmf, UnreachableSize
-from .tree import RootedTree, build_from_parents
+from .tree import RootedTree, _stable_order, build_from_parents
 
 _MASK64 = (1 << 64) - 1
 
@@ -185,20 +185,6 @@ class ExpDoomsday:
 # ---------------------------------------------------------------------------
 
 REJECTION_BUDGET = 1_000_000
-
-
-def _stable_order(keys: np.ndarray) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")`` for nonnegative integer keys.
-
-    Sorts stably by one 16-bit digit at a time, least significant first;
-    numpy sorts 16-bit keys by radix sort, so each pass is O(n).
-    """
-    order = np.argsort(keys.astype(np.uint16), kind="stable")
-    top = int(keys.max()) if keys.size else 0
-    for shift in range(16, top.bit_length(), 16):
-        digit = (keys[order] >> shift).astype(np.uint16)
-        order = order[np.argsort(digit, kind="stable")]
-    return order
 
 
 def _lukasiewicz_parents(degs: np.ndarray) -> np.ndarray:

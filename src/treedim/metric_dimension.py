@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import TooLarge, VertexOutOfRange
-from .tree import RootedTree, bfs_distances, chain_ends, child_counts
+from .tree import RootedTree, bfs_distances, child_counts
 
 BRUTE_FORCE_CAP = 16
 
@@ -60,7 +60,7 @@ def md_report(tree: RootedTree) -> MDReport:
     Each step is an array pass over the parent array.
     """
     outdeg, root = tree.outdeg, tree.root
-    ends = chain_ends(tree)
+    ends = tree.chain_ends
     line = outdeg[ends] == 0
     # A non-root vertex is a leaf with no children, the root with one.
     leaf = outdeg == 0

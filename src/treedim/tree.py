@@ -24,7 +24,6 @@ from .errors import (
 )
 
 ROOT_TOKEN = "R"
-_ASCII_PADDING = " \t\r\x0b\x0c\x1c\x1d\x1e\x1f"  # ASCII whitespace but LF
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,7 +32,8 @@ class RootedTree:
 
     ``parents[v]`` is the parent of ``v``, or -1 for the root, in a read-only
     int64 array.  Derived on first use and cached: ``outdeg[v]`` counts the
-    children of ``v``; ``children[v]`` lists them in ascending index order;
+    children of ``v``; ``chain_ends[v]`` ends the only-child chain below
+    ``v``; ``children[v]`` lists the children in ascending index order;
     ``order`` lists every vertex breadth-first from the root, so parents
     come before their children.
     Use :func:`build_from_parents` instead of constructing directly.
@@ -57,6 +57,24 @@ class RootedTree:
     @cached_property
     def outdeg(self) -> np.ndarray:
         return child_counts(self.parents, self.n)
+
+    @cached_property
+    def chain_ends(self) -> np.ndarray:
+        """For each vertex, the first vertex at or below it whose outdegree
+        is not 1, found by pointer doubling down the only-child chains.
+        Read-only; ``md_report`` and the line counters share it."""
+        parents, outdeg = self.parents, self.outdeg
+        only = (outdeg[parents] == 1).nonzero()[0]
+        only = only[parents[only] >= 0]  # the root's -1 would index vertex n - 1
+        end = np.arange(self.n)
+        end[parents[only]] = only
+        while True:
+            jump = end[end]
+            if (jump == end).all():
+                break
+            end = jump
+        end.flags.writeable = False
+        return end
 
     @cached_property
     def children(self) -> tuple[tuple[int, ...], ...]:
@@ -89,6 +107,20 @@ def child_counts(parents: np.ndarray, n: int) -> np.ndarray:
     counts = np.bincount(parents + 1, minlength=n + 1)[1:]
     counts.flags.writeable = False
     return counts
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for nonnegative integer keys.
+
+    Sorts stably by one 16-bit digit at a time, least significant first;
+    numpy sorts 16-bit keys by radix sort, so each pass is O(n).
+    """
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    top = int(keys.max()) if keys.size else 0
+    for shift in range(16, top.bit_length(), 16):
+        digit = (keys[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+    return order
 
 
 def build_from_parents(parents) -> RootedTree:
@@ -179,62 +211,95 @@ def is_path(tree: RootedTree) -> bool:
     return top <= 2 and int(np.count_nonzero(tree.outdeg > 1)) == (top == 2)
 
 
-def chain_ends(tree: RootedTree) -> np.ndarray:
-    """For each vertex, the first vertex at or below it whose outdegree is
-    not 1, found by pointer doubling down the only-child chains."""
-    parents, outdeg = tree.parents, tree.outdeg
-    only = (outdeg[parents] == 1).nonzero()[0]
-    only = only[parents[only] >= 0]  # the root's -1 would index vertex n - 1
-    end = np.arange(tree.n)
-    end[parents[only]] = only
-    while True:
-        jump = end[end]
-        if (jump == end).all():
-            return end
-        end = jump
-
-
 def line_flags(tree: RootedTree) -> np.ndarray:
     """Per-vertex flag: is the hanging subtree a line (single vertex counts).
 
     It is iff the chain of only children below the vertex ends at a leaf.
     """
-    return tree.outdeg[chain_ends(tree)] == 0
+    return tree.outdeg[tree.chain_ends] == 0
 
 
 def serialize(tree: RootedTree) -> str:
     """Encode a tree in the line-oriented text format.
 
     First line is the vertex count, then one line per vertex holding the
-    parent index, or ``R`` for the root.  UTF-8, LF line endings.
+    parent index, or ``R`` for the root.  UTF-8, LF line endings.  The text
+    is an (n + 1, width + 1) matrix of right-aligned digit bytes and LFs,
+    read row by row with the leading zeros masked out.
     """
-    lines = [str(tree.n), *map(str, tree.parents.tolist())]
-    lines[1 + tree.root] = ROOT_TOKEN
-    return "\n".join(lines) + "\n"
+    vals = np.concatenate(([tree.n], tree.parents))
+    vals[1 + tree.root] = 0
+    width = len(str(int(vals.max())))
+    # Filled a column at a time, so stored column-major; .T is the matrix.
+    digits = np.empty((width + 1, vals.size), dtype=np.uint8)
+    keep = np.empty(digits.shape, dtype=bool)
+    digits[width] = ord("\n")
+    keep[width] = True
+    rest = vals
+    for col in range(width - 1, -1, -1):
+        keep[col] = rest > 0
+        rest, digits[col] = np.divmod(rest, 10)
+    keep[width - 1] = True
+    digits[:width] += ord("0")
+    digits[width - 1, 1 + tree.root] = ord(ROOT_TOKEN)
+    return digits.T[keep.T].tobytes().decode("ascii")
 
 
-def _rows(text: str) -> list[str]:
-    """The stripped non-blank lines of ``text``.
+def _parse_exact(text: str) -> np.ndarray | None:
+    """The parent array (-1 at the root) of a text in :func:`serialize`'s
+    exact form, or None for any other text.
 
-    Splits on LF alone when that gives the same rows: ASCII text with no
-    whitespace but LF and no blank line.
+    The exact form is ASCII digits, one row that is just ``R``, an LF after
+    every row, rows of 1 to 18 bytes (so no value overflows int64) and a
+    count row equal to the number of vertex rows.  Values are built one
+    digit column at a time over the right-aligned rows.
     """
-    if (
-        text.isascii()
-        and not any(c in text for c in _ASCII_PADDING)
-        and "\n\n" not in text
-        and not text.startswith("\n")
-    ):
-        rows = text.split("\n")
-        if not rows[-1]:
-            rows.pop()
-        return rows
-    return [line.strip() for line in text.splitlines() if line.strip()]
+    if not text.isascii():
+        return None
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    ends = (buf == ord("\n")).nonzero()[0]
+    if ends.size < 2 or ends[-1] != buf.size - 1:
+        return None
+    before = np.concatenate(([-1], ends[:-1]))  # the LF ahead of each row
+    lens = ends - before - 1
+    width = int(lens.max())
+    if lens.min() < 1 or width > 18:
+        return None
+    r = text.find(ROOT_TOKEN)
+    # R must fill a vertex row, with an LF on both sides; a second R fails
+    # the digit check below.
+    if r < 1 or buf[r - 1] != ord("\n") or buf[r + 1] != ord("\n"):
+        return None
+    digit = buf - ord("0")
+    digit[r] = 0
+    digit[ends] = 0
+    if (digit > 9).any():
+        return None
+    # Offsets past a row's start are clipped to the LF ahead of it (the
+    # final LF for the count row), whose digit is 0.
+    at = np.empty_like(ends)
+    vals = np.zeros(ends.size, dtype=np.int64)
+    for col in range(width, 0, -1):
+        np.maximum(ends - col, before, out=at)
+        vals *= 10
+        vals += digit[at]
+    if vals[0] != ends.size - 1:
+        return None
+    parents = vals[1:]
+    parents[np.searchsorted(ends, r) - 1] = -1
+    return parents
 
 
 def parse(text: str) -> RootedTree:
-    """Decode the text format produced by :func:`serialize`, validating fully."""
-    rows = _rows(text)
+    """Decode the text format produced by :func:`serialize`, validating fully.
+
+    Text in the exact form :func:`serialize` writes takes a byte-level
+    digit pass; any other text is split into stripped non-blank lines.
+    """
+    parents = _parse_exact(text)
+    if parents is not None:
+        return build_from_parents(parents)
+    rows = [line.strip() for line in text.splitlines() if line.strip()]
     if not rows:
         raise TreeFormatError("empty tree file")
     try:

@@ -108,6 +108,48 @@ class TestConstant:
             code, out, _ = run(capsys, *argv)
             assert code == 0 and "value" in out
 
+    @pytest.mark.parametrize(
+        "argv, stdout",
+        [
+            (
+                ("gw",),
+                "value     0.140769411632\nabs_error 1e-14\nmethod    closed_form\n",
+            ),
+            (
+                ("mary", "--m", "2"),
+                "value     0.109686868101\nabs_error 2.3e-13\nmethod    series\n",
+            ),
+            (
+                ("rrt",),
+                "value     0.263709059139\nabs_error 1.55e-11\nmethod    quadrature\n",
+            ),
+            (
+                ("rich", "--rho", "1"),
+                "value     0.501196708672\nabs_error 5.49e-11\nmethod    quadrature\n",
+            ),
+            (
+                ("general", "--rho", "2", "--chi", "-1"),
+                "value     0.109686868101\nabs_error 3.57e-11\nmethod    quadrature\n",
+            ),
+        ],
+        ids=["gw", "mary", "rrt", "rich", "general"],
+    )
+    def test_stdout_pinned(self, capsys, argv, stdout):
+        assert run(capsys, "constant", "--model", *argv) == (0, stdout, "")
+
+    @pytest.mark.parametrize(
+        "argv, needs",
+        [
+            (("mary",), "--m"),
+            (("rich",), "--rho"),
+            (("general", "--rho", "2"), "--rho and --chi"),
+            (("general", "--chi", "1"), "--rho and --chi"),
+        ],
+    )
+    def test_missing_flags_named(self, capsys, argv, needs):
+        code, out, err = run(capsys, "constant", "--model", *argv)
+        assert (code, out, err) == (2, "", f"error: model '{argv[0]}' needs {needs}\n")
+
     def test_pmf_file(self, tmp_path, capsys):
         pmf = tmp_path / "pmf.txt"
         pmf.write_text("0.5\n0\n0.5\n")

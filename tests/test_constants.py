@@ -22,6 +22,7 @@ from treedim import (
     q_line_prob,
     trinomial,
 )
+from treedim import constants
 from treedim.constants import _general_integrals, _mary_coefficient
 from treedim.errors import DomainError, InvalidPmf, Unsupported
 
@@ -58,6 +59,13 @@ class TestIncompleteGamma:
         assert lower_incomplete_gamma(171, 300) == pytest.approx(reference, rel=1e-12)
         with pytest.raises(DomainError, match=r"\(172, 300\)"):
             lower_incomplete_gamma(172, 300)
+
+    @pytest.mark.parametrize("s, t", [(5.5, 2.5), (1.5, 6.25)], ids=["series", "lentz"])
+    def test_unconverged_is_a_domain_error(self, monkeypatch, s, t):
+        lower_incomplete_gamma(s, t)  # converges within the shipped cap
+        monkeypatch.setattr(constants, "GAMMA_MAX_ITER", 3)
+        with pytest.raises(DomainError, match=rf"\({s}, {t}\) did not converge in 3 iterations"):
+            lower_incomplete_gamma(s, t)
 
 
 class TestTrinomial:

@@ -1,5 +1,6 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 import tuple_core
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from treedim import (
     sample_uniform_tree,
 )
 from treedim.errors import IsPath
-from treedim.fringe import subtree_sizes
+from treedim.fringe import _MIN_LEVEL_WIDTH, subtree_sizes
 from treedim.tree import line_flags
 
 
@@ -165,3 +166,75 @@ class TestTupleCoreOracle:
         )
         # Key order too: the histogram lists sizes by first vertex.
         assert list(fringe_size_counts(t).items()) == list(Counter(sizes).items())
+
+
+def height(ref) -> int:
+    depth = [0] * ref.n
+    for v in ref.order[1:]:
+        depth[v] = depth[ref.parents[v]] + 1
+    return max(depth)
+
+
+def broom(rng, n: int, h: int) -> list[int | None]:
+    """A handle 0 - 1 - ... - h with the other vertices hung as leaves
+    from handle vertices above h, so the height is exactly h."""
+    picks = np.concatenate([np.arange(h), rng.integers(0, h, n - 1 - h)])
+    return [None, *picks.tolist()]
+
+
+def assert_sizes_match(parents):
+    t = build_from_parents(parents)
+    sizes = tuple_core.subtree_sizes(tuple_core.build_from_parents(parents))
+    assert subtree_sizes(t) == sizes
+    assert list(fringe_size_counts(t).items()) == list(Counter(sizes).items())
+
+
+class TestLevelPass:
+    """Sizes and the histogram's key order on trees wide enough for the
+    level pass, on both sides of its height threshold, and at the edges."""
+
+    @pytest.mark.parametrize("n", [2_000, 7_000, 20_000])
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_random_recursive(self, n, shuffled):
+        rng = np.random.default_rng([n, shuffled])
+        for root in (0, int(rng.integers(n))):
+            parents = tuple_core.random_tree(rng, n, "random", shuffled, root)
+            assert height(tuple_core.build_from_parents(parents)) * _MIN_LEVEL_WIDTH <= n
+            assert_sizes_match(parents)
+
+    @pytest.mark.parametrize("n", [2_000, 20_000])
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_uniform(self, n, shuffled):
+        # Uniform trees this small sit near the height threshold, so both
+        # passes run: n = 2,000 is mostly taller, n = 20,000 mostly wider.
+        rng = RngSpec(81).stream(n)
+        labelled = [None if p < 0 else p for p in sample_uniform_tree(n, rng).parents.tolist()]
+        if not shuffled:  # relabel breadth-first, so parents precede children
+            rank = [0] * n
+            for i, v in enumerate(tuple_core.build_from_parents(labelled).order):
+                rank[v] = i
+            labelled = tuple_core.relabel(labelled, rank)
+        for root in (0, int(rng.integers(n))):
+            assert_sizes_match(tuple_core.reroot(labelled, root))
+
+    @pytest.mark.parametrize("shape", ["path", "caterpillar"])
+    def test_tall_shapes(self, shape):
+        rng = np.random.default_rng(82)
+        assert_sizes_match(tuple_core.random_tree(rng, 5_000, shape, True, 17))
+
+    @pytest.mark.parametrize("step", [-1, 1])
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_brooms_at_the_threshold(self, step, shuffled):
+        n = 6_400
+        h = n // _MIN_LEVEL_WIDTH + step
+        rng = np.random.default_rng([h, shuffled])
+        parents = broom(rng, n, h)
+        if shuffled:
+            parents = tuple_core.relabel(parents, rng.permutation(n).tolist())
+        assert height(tuple_core.build_from_parents(parents)) == h
+        assert_sizes_match(parents)
+
+    def test_star_and_single_vertex(self):
+        assert_sizes_match([None, *[0] * 999])
+        assert_sizes_match([None])
+        assert fringe_size_counts(build_from_parents([None])) == {1: 1}

@@ -31,8 +31,8 @@ from treedim import (
 )
 from treedim.errors import InvalidParams, InvalidPmf, TreeStructureError, UnreachableSize
 from treedim.fringe import subtree_sizes
-from treedim.generators import _lukasiewicz_parents, _stable_order
-from treedim.tree import build_from_parents
+from treedim.generators import _lukasiewicz_parents
+from treedim.tree import _stable_order, build_from_parents
 from treedim.verify import EMBEDDING_PARAMS, FIGURE_GRID
 
 

@@ -21,6 +21,7 @@ from treedim.errors import (
     TreeFormatError,
     TreeStructureError,
 )
+from treedim.tree import _parse_exact
 
 
 def chain(n):
@@ -338,3 +339,82 @@ class TestSerialization:
         path = tmp_path / "t.tree"
         write_tree(t, path)
         assert read_tree(path) == t
+
+
+def parse_outcome(parser, text):
+    """The parents ``parser`` reads from ``text``, or its error."""
+    try:
+        return parser(text).parents.tolist()
+    except (TreeFormatError, TreeStructureError) as exc:
+        return type(exc), str(exc), getattr(exc, "vertex", None)
+
+
+# One-byte edits: the bytes of the exact form plus what it excludes.
+EDIT_BYTES = ["0", "7", "R", "\n", "-", "+", " ", "\r", "\x00", "٣"]
+
+
+class TestByteLevelParse:
+    """``parse`` against ``tuple_core.parse`` and ``serialize`` against
+    ``tuple_core.serialize``: texts in the exact form take the byte-level
+    pass, any other text the line comprehension, with the same outcome."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tuple_core.tree_lists())
+    def test_exact_form_round_trip(self, parents):
+        t = build_from_parents(parents)
+        text = tuple_core.serialize(t)
+        assert serialize(t) == text
+        assert _parse_exact(text) is not None
+        assert parse(text) == t == tuple_core.parse(text)
+
+    @pytest.mark.parametrize("n", [1, 9, 10, 11, 100, 101])
+    def test_serialize_at_digit_width_edges(self, n):
+        for root in sorted({0, n // 2, n - 1}):
+            parents = tuple_core.reroot([None, *range(n - 1)], root)
+            t = build_from_parents(parents)
+            assert serialize(t) == tuple_core.serialize(t)
+            assert parse(serialize(t)) == t
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        tuple_core.tree_lists(max_n=30),
+        st.sampled_from(["insert", "replace", "delete"]),
+        st.sampled_from(EDIT_BYTES),
+        st.integers(0, 10**6),
+    )
+    def test_one_byte_edits_match_line_comprehension(self, parents, edit, byte, where):
+        text = tuple_core.serialize(build_from_parents(parents))
+        at = where % (len(text) + (edit == "insert"))
+        tail = text[at:] if edit == "insert" else text[at + 1 :]
+        text = text[:at] + ("" if edit == "delete" else byte) + tail
+        assert parse_outcome(parse, text) == parse_outcome(tuple_core.parse, text)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["4", "R", "0", "0", "1"],  # the exact form itself
+            ["04", "R", "0", "0", "1"],  # leading zeros
+            ["4", "R", "00", "0", "001"],
+            ["4", "R", "0", "0", "0000000000000000001"],  # 19 digits
+            ["4", "R", "0", "0", "9999999999999999999"],
+            ["4", "R", "0", "0", "999999999999999999"],  # 18 digits, out of range
+            ["4", "R", "0", "0", "-1"],
+            ["4", "R", "0", "-0", "1"],
+            ["4", "R", "0", "+3", "1"],
+            ["3", "R", "0", "0", "1"],  # count off by one
+            ["5", "R", "0", "0", "1"],
+            ["4", "R", "0", "R", "1"],  # two roots
+            ["4", " R", "0", "0", "1"],  # padded root
+            ["4", "R ", "0", "0", "1"],
+            ["4", "R", "0", "0", "١"],  # an Arabic-Indic digit
+            ["4", "R", "0", "0\x00", "1"],  # a NUL byte
+            ["4", "R", "0", "", "0", "1"],  # a blank row
+            ["R", "4", "0", "0", "1"],
+            ["1", "R"],
+            ["0"],
+        ],
+    )
+    @pytest.mark.parametrize("final_lf", [True, False])
+    def test_named_edits_match_line_comprehension(self, rows, final_lf):
+        text = "\n".join(rows) + "\n" * final_lf
+        assert parse_outcome(parse, text) == parse_outcome(tuple_core.parse, text)

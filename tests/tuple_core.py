@@ -3,9 +3,10 @@ tuples and a breadth-first order, walked by Python loops.
 
 This is the representation ``treedim.tree`` used before the parent array
 became the tree.  The tests compare the array core against it: build
-results and errors, line flags, ``md_report`` and subtree sizes.  Two
-earlier loops serve as oracles too: the stack walk that turned depth-first
-outdegrees into parents, and ``parse`` with its line comprehension.
+results and errors, line flags, ``md_report`` and subtree sizes.  Earlier
+loops serve as oracles too: the stack walk that turned depth-first
+outdegrees into parents, ``parse`` with its line comprehension and
+``serialize`` with its per-vertex ``str``.
 """
 
 from __future__ import annotations
@@ -171,12 +172,16 @@ def random_tree(rng, n: int, shape: str, shuffled: bool, root: int) -> list[int 
         picks = np.where(v < spine, v - 1, rng.integers(0, spine, size=n - 1))
     parents = [None, *picks.tolist()]
     if shuffled:
-        perm = rng.permutation(n).tolist()
-        relabelled: list[int | None] = [None] * n
-        for u, p in enumerate(parents):
-            relabelled[perm[u]] = None if p is None else perm[p]
-        parents = relabelled
+        parents = relabel(parents, rng.permutation(n).tolist())
     return reroot(parents, root % n)
+
+
+def relabel(parents, perm) -> list[int | None]:
+    """The same rooted tree with vertex ``u`` renamed ``perm[u]``."""
+    out: list[int | None] = [None] * len(parents)
+    for u, p in enumerate(parents):
+        out[perm[u]] = None if p is None else perm[p]
+    return out
 
 
 @st.composite
@@ -249,3 +254,10 @@ def parse(text: str) -> RootedTree:
             except ValueError:
                 raise TreeFormatError(f"bad parent entry {line!r}")
     return build_array(entries)
+
+
+def serialize(tree: RootedTree) -> str:
+    """``treedim.tree.serialize`` by one ``str`` per vertex."""
+    lines = [str(tree.n), *map(str, tree.parents.tolist())]
+    lines[1 + tree.root] = ROOT_TOKEN
+    return "\n".join(lines) + "\n"
