@@ -172,9 +172,10 @@ class FixedSize:
 class ExpDoomsday:
     """Stop at an independent Exp(rho + chi) time, drawn before the run.
 
-    ``max_vertices`` optionally freezes growth at a size cap; the resulting
-    tree is the exact state at the cap's birth time.  The stopped-tree size
-    is heavy tailed, so unbounded runs can occasionally be very large.
+    ``max_vertices`` freezes growth at a size cap; the resulting tree is
+    the exact state at the cap's birth time.  The stopped-tree size is
+    heavy tailed, so :func:`simulate_cmj` refuses a run without a cap
+    rather than let it grow without bound.
     """
 
     max_vertices: int | None = None
@@ -391,10 +392,12 @@ def simulate_cmj(
             raise InvalidParams(
                 f"doomsday rate rho + chi = {rate} must be positive"
             )
-        horizon = rng.exponential(1.0 / rate)
-        cap = stop.max_vertices if stop.max_vertices is not None else math.inf
+        if stop.max_vertices is None:
+            raise InvalidParams("ExpDoomsday needs max_vertices: the stopped size is unbounded")
+        cap = stop.max_vertices
         if cap < 1:
             raise InvalidParams("max_vertices must be >= 1")
+        horizon = rng.exponential(1.0 / rate)
     else:
         raise InvalidParams(f"unknown stop rule {stop!r}")
 

@@ -5,17 +5,25 @@ the number of exterior major vertices (Slater's formula); a path needs one
 landmark and a single vertex none.  The formula runs in linear time; an
 exponential subset-search oracle is provided for validation on small trees.
 All quantities refer to the unrooted graph; the root only orders the pass.
+
+The oracle reads nothing of the formula: with vertex v at bit n - 1 - v,
+subset masks sorted by size and then by decreasing value come in
+``itertools.combinations`` order, and a block of them per numpy pass is
+tested against each vertex pair's mask of separating landmarks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+
+import numpy as np
 
 from .errors import TooLarge, VertexOutOfRange
-from .tree import RootedTree, bfs_distances, child_counts
+from .tree import RootedTree, child_counts
 
 BRUTE_FORCE_CAP = 16
+_SCAN_ROWS = 4096  # subsets tested at once: about 1 MB of scratch at n = 16
 
 
 @dataclass(frozen=True)
@@ -91,20 +99,68 @@ def md_report(tree: RootedTree) -> MDReport:
     )
 
 
+def _distances(tree: RootedTree, sources) -> list[int]:
+    """Graph distances from each source to every vertex, one row of ``n``
+    after another in a flat list, by breadth-first search over the
+    neighbour lists of the unrooted tree."""
+    n = tree.n
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for v, p in enumerate(tree.parents.tolist()):
+        if p >= 0:
+            adj[v].append(p)
+            adj[p].append(v)
+    rows: list[int] = []
+    for source in sources:
+        dist = [-1] * n
+        dist[source] = 0
+        queue = [source]
+        for v in queue:
+            dv = dist[v] + 1
+            for w in adj[v]:
+                if dist[w] < 0:
+                    dist[w] = dv
+                    queue.append(w)
+        rows += dist
+    return rows
+
+
 def resolving_witness(tree: RootedTree, candidate) -> ResolvingWitness:
     """Build the distance table of a candidate landmark set."""
+    n = tree.n
     verts = tuple(sorted(set(int(v) for v in candidate)))
     for v in verts:
-        if not 0 <= v < tree.n:
-            raise VertexOutOfRange(f"vertex {v} outside 0..{tree.n - 1}")
-    adj = tree.adjacency()
-    table = tuple(tuple(bfs_distances(adj, v)) for v in verts)
-    return ResolvingWitness(vertices=verts, distance_table=table, n=tree.n)
+        if not 0 <= v < n:
+            raise VertexOutOfRange(f"vertex {v} outside 0..{n - 1}")
+    flat = _distances(tree, verts)
+    table = tuple(tuple(flat[i : i + n]) for i in range(0, len(flat), n))
+    return ResolvingWitness(vertices=verts, distance_table=table, n=n)
 
 
 def is_resolving(tree: RootedTree, candidate) -> bool:
     """True iff every vertex pair differs in distance to some candidate vertex."""
     return resolving_witness(tree, candidate).resolves
+
+
+def _subset_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every non-empty subset of ``0..n-1`` as a mask in the narrowest
+    unsigned dtype, in the search order of :func:`brute_force_md`; the bit
+    of each vertex; and, per landmark w (row) and vertex pair u < v
+    (column), the places ``w * n + u`` and ``w * n + v`` in the flat
+    distance list."""
+    dtype = np.min_scalar_type((1 << n) - 1)
+    masks = np.arange((1 << n) - 1, 0, -1)
+    size = sum((masks >> v) & 1 for v in range(n))
+    table = masks[np.argsort(size, kind="stable")].astype(dtype)
+    bits = (1 << np.arange(n - 1, -1, -1)).astype(dtype)
+    rows = np.arange(0, n * n, n)[:, None]
+    u, v = np.triu_indices(n, 1)
+    at_u, at_v = rows + u, rows + v
+    for array in (table, bits, at_u, at_v):
+        array.flags.writeable = False
+    return table, bits, at_u, at_v
+
+
+_cached_subset_table = lru_cache(maxsize=None)(_subset_table)
 
 
 def brute_force_md(
@@ -116,18 +172,33 @@ def brute_force_md(
     returned witness is deterministic.  A single vertex has metric dimension
     zero (the empty set resolves it vacuously).  Raises :class:`TooLarge`
     beyond ``cap`` vertices.
+
+    Each subset is a bitmask with vertex v at bit n - 1 - v.  Of two
+    subsets of one size, the lexicographically first holds the first
+    vertex where they differ, which is the highest differing bit, so its
+    mask is larger: masks sorted by size and then by decreasing value are
+    in ``itertools.combinations`` order.  The first mask that meets every
+    pair mask (the landmarks w with d(w, u) != d(w, v), per pair u < v)
+    is the answer; ``_SCAN_ROWS`` masks are tested per numpy pass.  The
+    table for each n <= ``BRUTE_FORCE_CAP`` is kept; a larger ``cap``
+    builds its 2^n masks per call, doubling time and memory per vertex.
     """
     n = tree.n
     if n > cap:
         raise TooLarge(f"brute force capped at {cap} vertices, tree has {n}")
     if n == 1:
         return 0, ()
-    adj = tree.adjacency()
-    dist = [bfs_distances(adj, v) for v in range(n)]
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            rows = [dist[w] for w in subset]
-            seen = {tuple(row[v] for row in rows) for v in range(n)}
-            if len(seen) == n:
-                return size, subset
+    table, bits, at_u, at_v = (
+        _cached_subset_table if n <= BRUTE_FORCE_CAP else _subset_table
+    )(n)
+    dist = np.array(_distances(tree, range(n)))
+    pairs = (bits @ (dist[at_u] != dist[at_v]))[:, None]
+    for start in range(0, len(table), _SCAN_ROWS):
+        block = table[start : start + _SCAN_ROWS]
+        ok = (pairs & block).all(0)
+        first = int(ok.argmax())
+        if ok[first]:
+            mask = int(block[first])
+            witness = tuple(w for w in range(n) if mask >> (n - 1 - w) & 1)
+            return len(witness), witness
     raise AssertionError("the full vertex set always resolves")

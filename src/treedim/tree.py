@@ -91,15 +91,6 @@ class RootedTree:
             order.extend(self.children[v])
         return tuple(order)
 
-    def adjacency(self) -> list[list[int]]:
-        """Neighbour lists of the underlying unrooted graph (for the oracle)."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for v, p in enumerate(self.parents.tolist()):
-            if p >= 0:
-                adj[v].append(p)
-                adj[p].append(v)
-        return adj
-
 
 def child_counts(parents: np.ndarray, n: int) -> np.ndarray:
     """How many of the vertices with these ``parents`` hang below each of
@@ -344,17 +335,3 @@ def read_tree(path) -> RootedTree:
         except UnicodeDecodeError as exc:
             raise TreeFormatError(f"{path} is not UTF-8 text: {exc}") from None
     return parse(text)
-
-
-def bfs_distances(adj: list[list[int]], source: int) -> list[int]:
-    """Graph distances from ``source`` to every vertex, given neighbour lists."""
-    dist = [-1] * len(adj)
-    dist[source] = 0
-    queue = [source]
-    for v in queue:
-        dv = dist[v] + 1
-        for w in adj[v]:
-            if dist[w] < 0:
-                dist[w] = dv
-                queue.append(w)
-    return dist

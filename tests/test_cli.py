@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from treedim import build_from_parents, write_tree
 from treedim.cli import main
 
 
@@ -66,6 +67,28 @@ class TestMd:
         code, out, _ = run(capsys, "md", target, "--witness")
         assert code == 0
         assert "beta" in out and "oracle" in out
+
+    @pytest.mark.parametrize(
+        "parents, expected",
+        [
+            ([None], "n        1\nleaves   0\nexterior 0\nbeta     0\nbeta/n   0\n"
+             "path     yes\noracle   beta 0, witness []\n"),
+            ([None, 0, 1, 2, 3], "n        5\nleaves   2\nexterior 0\nbeta     1\n"
+             "beta/n   0.2\npath     yes\noracle   beta 1, witness [0]\n"),
+            ([None] + [0] * 8, "n        9\nleaves   8\nexterior 1\nbeta     7\n"
+             "beta/n   0.777778\npath     no\noracle   beta 7, witness [1, 2, 3, 4, 5, 6, 7]\n"),
+            ([None, 0, 0, 2, 2, 3, 3, 4, 4], "n        9\nleaves   5\nexterior 3\nbeta     2\n"
+             "beta/n   0.222222\npath     no\noracle   beta 2, witness [5, 7]\n"),
+            ([None] + list(range(16)), "n        17\nleaves   2\nexterior 0\nbeta     1\n"
+             "beta/n   0.0588235\npath     yes\noracle   skipped (n > 16)\n"),
+        ],
+        ids=["single", "path-5", "star-8", "root-leg-9", "path-17"],
+    )
+    def test_witness_output_is_pinned(self, tmp_path, capsys, parents, expected):
+        target = tmp_path / "t.tree"
+        write_tree(build_from_parents(parents), target)
+        code, out, _ = run(capsys, "md", str(target), "--witness")
+        assert code == 0 and out == expected
 
     def test_large_tree_skips_oracle(self, tmp_path, capsys):
         target = str(tmp_path / "big.tree")

@@ -412,6 +412,13 @@ class TestCMJ:
         with pytest.raises(InvalidParams):
             simulate_cmj(PAParams(1.0, -1), ExpDoomsday(), RngSpec(21).stream(0))
 
+    def test_doomsday_requires_a_cap(self):
+        rng = RngSpec(21).stream(0)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidParams, match="max_vertices"):
+            simulate_cmj(PAParams(1.0, 1), ExpDoomsday(), rng)
+        assert rng.bit_generator.state == state
+
     def test_fixed_size_matches_discrete_chain(self):
         # size-4 ordered shapes from both generators, small-sample check
         params = PAParams(1.0, 1)

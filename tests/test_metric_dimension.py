@@ -10,6 +10,7 @@ from treedim import (
     build_from_parents,
     is_resolving,
     md_report,
+    metric_dimension,
     resolving_witness,
     sample_uniform_tree,
 )
@@ -22,19 +23,6 @@ def chain(n):
 
 def star(leaves):
     return build_from_parents([None] + [0] * leaves)
-
-
-def rerooted(adj, root):
-    """Parent array of the tree with neighbour lists ``adj``, rooted at ``root``."""
-    parents = [None] * len(adj)
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w != root and parents[w] is None:
-                parents[w] = v
-                stack.append(w)
-    return parents
 
 
 def spider_three_legs_of_two():
@@ -119,9 +107,50 @@ class TestBruteForce:
         assert beta == 2 and witness == (1, 2)
 
     def test_cap(self):
-        with pytest.raises(TooLarge):
-            brute_force_md(chain(17))
-        brute_force_md(chain(17), cap=17)
+        for t in (chain(17), star(16)):
+            with pytest.raises(TooLarge):
+                brute_force_md(t)
+            with pytest.raises(TooLarge):
+                tuple_core.brute_force_md(t)
+        assert brute_force_md(chain(17), cap=17) == tuple_core.brute_force_md(chain(17), cap=17)
+
+    def test_matches_combinations_search_on_every_small_tree(self):
+        for n in range(1, 9):
+            for choice in product(*[range(i) for i in range(1, n)]):
+                t = build_from_parents([None, *choice])
+                beta, witness = brute_force_md(t)
+                assert (beta, witness) == tuple_core.brute_force_md(t), choice
+                assert all(type(w) is int for w in witness)
+
+    def test_matches_combinations_search_on_random_trees(self):
+        spec = RngSpec(35)
+        for i in range(300):
+            rng = spec.stream(i)
+            t = sample_uniform_tree(int(rng.integers(2, 15)), rng)
+            assert brute_force_md(t) == tuple_core.brute_force_md(t), i
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    def test_matches_combinations_search_across_block_edges(self, monkeypatch, rows):
+        monkeypatch.setattr(metric_dimension, "_SCAN_ROWS", rows)
+        for n in range(1, 7):
+            for choice in product(*[range(i) for i in range(1, n)]):
+                t = build_from_parents([None, *choice])
+                assert brute_force_md(t) == tuple_core.brute_force_md(t), choice
+
+    @pytest.mark.parametrize(
+        "parents",
+        [
+            [None] + [0] * 15,
+            [None] + list(range(15)),
+            [None] + list(range(7)) + [7] * 8,
+            [None] + list(range(7)) + list(range(8)),
+        ],
+        ids=["star", "path", "broom", "caterpillar"],
+    )
+    def test_matches_combinations_search_at_the_cap(self, parents):
+        t = build_from_parents(parents)
+        assert t.n == 16
+        assert brute_force_md(t) == tuple_core.brute_force_md(t)
 
     def test_witness_resolves(self):
         rng = RngSpec(31).stream(0)
@@ -153,31 +182,31 @@ class TestOracleEquivalence:
                 assert expected.beta == brute_force_md(t)[0]
                 reference = tuple_core.build_from_parents([None, *choice])
                 assert expected == tuple_core.md_report(reference)
-                adj = t.adjacency()
                 for root in range(1, n):
-                    report = md_report(build_from_parents(rerooted(adj, root)))
+                    rerooted = tuple_core.reroot([None, *choice], root)
+                    report = md_report(build_from_parents(rerooted))
                     assert report == expected, (choice, root)
 
     def test_root_leg_ends_at_vertex_without_line_child(self):
         # leaf 1 -> root 0 (degree 2) -> vertex 2, whose children 3 and 4
         # both branch: 2 is exterior major with no line child.  Needs n >= 8.
-        t = build_from_parents([None, 0, 0, 2, 2, 3, 3, 4, 4])
+        parents = [None, 0, 0, 2, 2, 3, 3, 4, 4]
+        t = build_from_parents(parents)
         report = md_report(t)
         assert report.exterior_major == (2, 3, 4)
         assert report.beta == brute_force_md(t)[0] == 2
-        adj = t.adjacency()
         for root in range(t.n):
-            assert md_report(build_from_parents(rerooted(adj, root))) == report
+            assert md_report(build_from_parents(tuple_core.reroot(parents, root))) == report
 
     def test_every_root_on_larger_random_trees(self):
         spec = RngSpec(34)
         for i in range(60):
             rng = spec.stream(i)
             t = sample_uniform_tree(int(rng.integers(8, 41)), rng)
-            adj = t.adjacency()
+            parents = [None if p < 0 else p for p in t.parents.tolist()]
             expected = md_report(t)
             for root in range(t.n):
-                assert md_report(build_from_parents(rerooted(adj, root))) == expected
+                assert md_report(build_from_parents(tuple_core.reroot(parents, root))) == expected
 
     def test_random_trees(self):
         spec = RngSpec(33)

@@ -5,13 +5,16 @@ This is the representation ``treedim.tree`` used before the parent array
 became the tree.  The tests compare the array core against it: build
 results and errors, line flags, ``md_report`` and subtree sizes.  Earlier
 loops serve as oracles too: the stack walk that turned depth-first
-outdegrees into parents, ``parse`` with its line comprehension and
-``serialize`` with its per-vertex ``str``.
+outdegrees into parents, ``parse`` with its line comprehension,
+``serialize`` with its per-vertex ``str``, and the metric-dimension search
+that tried every subset from ``itertools.combinations`` over breadth-first
+distance rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 from hypothesis import strategies as st
@@ -21,6 +24,7 @@ from treedim.errors import (
     IndexOutOfRange,
     MultipleRoots,
     NoRoot,
+    TooLarge,
     TreeFormatError,
 )
 from treedim.metric_dimension import MDReport
@@ -133,13 +137,19 @@ def subtree_sizes(tree: TupleTree) -> list[int]:
     return sizes
 
 
-def reroot(parents, root: int) -> list[int | None]:
-    """The parent list of the same unrooted tree, rooted at ``root``."""
+def adjacency(parents) -> list[list[int]]:
+    """Neighbour lists of the unrooted tree with this parent list."""
     adj: list[list[int]] = [[] for _ in parents]
     for v, p in enumerate(parents):
         if p is not None:
             adj[v].append(p)
             adj[p].append(v)
+    return adj
+
+
+def reroot(parents, root: int) -> list[int | None]:
+    """The parent list of the same unrooted tree, rooted at ``root``."""
+    adj = adjacency(parents)
     out: list[int | None] = [None] * len(parents)
     stack = [root]
     seen = {root}
@@ -151,6 +161,39 @@ def reroot(parents, root: int) -> list[int | None]:
                 out[w] = v
                 stack.append(w)
     return out
+
+
+def bfs_distances(adj: list[list[int]], source: int) -> list[int]:
+    """Graph distances from ``source`` to every vertex, given neighbour lists."""
+    dist = [-1] * len(adj)
+    dist[source] = 0
+    queue = [source]
+    for v in queue:
+        dv = dist[v] + 1
+        for w in adj[v]:
+            if dist[w] < 0:
+                dist[w] = dv
+                queue.append(w)
+    return dist
+
+
+def brute_force_md(tree: RootedTree, cap: int = 16) -> tuple[int, tuple[int, ...]]:
+    """Smallest resolving set by trying every subset with ``combinations``,
+    in increasing size and lexicographic order, with its witness."""
+    n = tree.n
+    if n > cap:
+        raise TooLarge(f"brute force capped at {cap} vertices, tree has {n}")
+    if n == 1:
+        return 0, ()
+    adj = adjacency([None if p < 0 else p for p in tree.parents.tolist()])
+    dist = [bfs_distances(adj, v) for v in range(n)]
+    for size in range(1, n + 1):
+        for subset in combinations(range(n), size):
+            rows = [dist[w] for w in subset]
+            seen = {tuple(row[v] for row in rows) for v in range(n)}
+            if len(seen) == n:
+                return size, subset
+    raise AssertionError("the full vertex set always resolves")
 
 
 def random_tree(rng, n: int, shape: str, shuffled: bool, root: int) -> list[int | None]:
