@@ -141,26 +141,38 @@ def is_resolving(tree: RootedTree, candidate) -> bool:
     return resolving_witness(tree, candidate).resolves
 
 
-def _subset_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every non-empty subset of ``0..n-1`` as a mask in the narrowest
-    unsigned dtype, in the search order of :func:`brute_force_md`; the bit
-    of each vertex; and, per landmark w (row) and vertex pair u < v
-    (column), the places ``w * n + u`` and ``w * n + v`` in the flat
-    distance list."""
+def _search_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bit of each vertex, in the narrowest unsigned dtype that holds n
+    bits, and, per landmark w (row) and vertex pair u < v (column), the
+    places ``w * n + u`` and ``w * n + v`` in the flat distance list."""
     dtype = np.min_scalar_type((1 << n) - 1)
-    masks = np.arange((1 << n) - 1, 0, -1)
-    size = sum((masks >> v) & 1 for v in range(n))
-    table = masks[np.argsort(size, kind="stable")].astype(dtype)
-    bits = (1 << np.arange(n - 1, -1, -1)).astype(dtype)
+    bits = np.array([1 << (n - 1 - v) for v in range(n)], dtype=dtype)
     rows = np.arange(0, n * n, n)[:, None]
     u, v = np.triu_indices(n, 1)
-    at_u, at_v = rows + u, rows + v
+    return bits, rows + u, rows + v
+
+
+def _subsets(n: int, bits: np.ndarray):
+    """Yield the masks of the k-subsets of ``0..n-1`` for k = 1, ..., n, each
+    in ``itertools.combinations`` order: every (k-1)-subset in that order,
+    extended by each vertex above its last in turn."""
+    masks, last = np.zeros(1, dtype=bits.dtype), np.array([-1])
+    for _ in range(n):
+        grow = n - 1 - last
+        first = np.repeat(np.cumsum(grow) - grow, grow)
+        last = np.repeat(last + 1, grow) + np.arange(len(first)) - first
+        masks = np.repeat(masks, grow) | bits[last]
+        yield masks
+
+
+@lru_cache(maxsize=None)
+def _cached_search(n: int) -> tuple[tuple[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_search_arrays` with every subset in one read-only table."""
+    bits, at_u, at_v = _search_arrays(n)
+    table = np.concatenate(list(_subsets(n, bits)))
     for array in (table, bits, at_u, at_v):
         array.flags.writeable = False
-    return table, bits, at_u, at_v
-
-
-_cached_subset_table = lru_cache(maxsize=None)(_subset_table)
+    return (table,), bits, at_u, at_v
 
 
 def brute_force_md(
@@ -180,25 +192,29 @@ def brute_force_md(
     in ``itertools.combinations`` order.  The first mask that meets every
     pair mask (the landmarks w with d(w, u) != d(w, v), per pair u < v)
     is the answer; ``_SCAN_ROWS`` masks are tested per numpy pass.  The
-    table for each n <= ``BRUTE_FORCE_CAP`` is kept; a larger ``cap``
-    builds its 2^n masks per call, doubling time and memory per vertex.
+    table of all 2^n - 1 masks is kept for each n <= ``BRUTE_FORCE_CAP``;
+    beyond it, with a larger ``cap``, the masks are made one size at a
+    time, so time and memory grow with the subsets actually tried.
     """
     n = tree.n
     if n > cap:
         raise TooLarge(f"brute force capped at {cap} vertices, tree has {n}")
     if n == 1:
         return 0, ()
-    table, bits, at_u, at_v = (
-        _cached_subset_table if n <= BRUTE_FORCE_CAP else _subset_table
-    )(n)
+    if n <= BRUTE_FORCE_CAP:
+        tables, bits, at_u, at_v = _cached_search(n)
+    else:
+        bits, at_u, at_v = _search_arrays(n)
+        tables = _subsets(n, bits)
     dist = np.array(_distances(tree, range(n)))
     pairs = (bits @ (dist[at_u] != dist[at_v]))[:, None]
-    for start in range(0, len(table), _SCAN_ROWS):
-        block = table[start : start + _SCAN_ROWS]
-        ok = (pairs & block).all(0)
-        first = int(ok.argmax())
-        if ok[first]:
-            mask = int(block[first])
-            witness = tuple(w for w in range(n) if mask >> (n - 1 - w) & 1)
-            return len(witness), witness
+    for table in tables:
+        for start in range(0, len(table), _SCAN_ROWS):
+            block = table[start : start + _SCAN_ROWS]
+            ok = (pairs & block).all(0)
+            first = int(ok.argmax())
+            if ok[first]:
+                mask = int(block[first])
+                witness = tuple(w for w in range(n) if mask >> (n - 1 - w) & 1)
+                return len(witness), witness
     raise AssertionError("the full vertex set always resolves")

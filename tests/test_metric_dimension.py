@@ -114,6 +114,10 @@ class TestBruteForce:
                 tuple_core.brute_force_md(t)
         assert brute_force_md(chain(17), cap=17) == tuple_core.brute_force_md(chain(17), cap=17)
 
+    def test_large_cap_makes_only_the_sizes_it_tries(self):
+        # 2^40 masks would not fit in memory; one size of 40 does.
+        assert brute_force_md(chain(40), cap=40) == (1, (0,))
+
     def test_matches_combinations_search_on_every_small_tree(self):
         for n in range(1, 9):
             for choice in product(*[range(i) for i in range(1, n)]):
@@ -129,9 +133,13 @@ class TestBruteForce:
             t = sample_uniform_tree(int(rng.integers(2, 15)), rng)
             assert brute_force_md(t) == tuple_core.brute_force_md(t), i
 
+    @pytest.mark.parametrize("cached_up_to", [16, 0], ids=["table", "by-size"])
     @pytest.mark.parametrize("rows", [1, 2, 3, 7])
-    def test_matches_combinations_search_across_block_edges(self, monkeypatch, rows):
+    def test_matches_combinations_search_across_block_edges(
+        self, monkeypatch, rows, cached_up_to
+    ):
         monkeypatch.setattr(metric_dimension, "_SCAN_ROWS", rows)
+        monkeypatch.setattr(metric_dimension, "BRUTE_FORCE_CAP", cached_up_to)
         for n in range(1, 7):
             for choice in product(*[range(i) for i in range(1, n)]):
                 t = build_from_parents([None, *choice])
