@@ -15,7 +15,6 @@ from .constants import (
     c_general,
     c_gw,
     c_mary,
-    c_rich,
     c_rrt,
     gw_line_prob,
     gw_pk_prob,

@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import __version__
-from .constants import c_general, c_gw, c_mary, c_rich, c_rrt
+from .constants import c_general, c_gw, c_mary, c_rrt
 from .errors import InvalidPmf, TreedimError
 from .experiments import (
     STATISTICS,
@@ -147,7 +147,7 @@ _CONSTANT_MODELS = {
     "gw": (lambda args, spec: c_gw(_load_pmf(args.pmf)), ()),
     "mary": (lambda args, spec: c_mary(args.m), ("m",)),
     "rrt": (lambda args, spec: c_rrt(spec), ()),
-    "rich": (lambda args, spec: c_rich(args.rho, spec), ("rho",)),
+    "rich": (lambda args, spec: c_general(args.rho, 1, spec), ("rho",)),
     "general": (lambda args, spec: c_general(args.rho, args.chi, spec), ("rho", "chi")),
 }
 

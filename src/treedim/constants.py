@@ -273,11 +273,6 @@ def _general_integrals(
     return i1, i2, e1 + e2
 
 
-def c_rich(rho: float, spec: QuadratureSpec = DEFAULT_SPEC) -> ConstantResult:
-    """Limit constant for rich-get-richer trees (chi = +1), any rho > 0."""
-    return c_general(rho, 1, spec)
-
-
 def c_rrt(spec: QuadratureSpec = DEFAULT_SPEC) -> ConstantResult:
     """Limit constant for random recursive trees.
 

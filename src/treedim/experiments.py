@@ -228,17 +228,13 @@ def _trial(config: ExperimentConfig, i: int) -> tuple[float, dict[int, int] | No
     return hist.get(1, 0) / tree.n, hist
 
 
-def run_experiment(
-    config: ExperimentConfig, reference: float | None = None
-) -> ExperimentSummary:
+def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     """Run all trials and aggregate.
 
     The mean/variance reduction happens in trial-index order whatever the
     worker count, so two runs with the same config agree bit for bit.
-    ``reference`` overrides the model's default limiting constant.
     """
-    if reference is None:
-        reference = default_reference(config)
+    reference = default_reference(config)
     wants_hist = config.statistic == "fringe_histogram"
     welford = _Welford()
     histogram: Counter[int] | None = Counter() if wants_hist else None

@@ -82,13 +82,7 @@ def subtree_sizes(tree: RootedTree) -> list[int]:
 def is_line(tree: RootedTree, v: int) -> bool:
     """True iff every vertex in the subtree below ``v`` has at most one child."""
     _check_vertex(tree, v)
-    while True:
-        kids = tree.children[v]
-        if len(kids) == 0:
-            return True
-        if len(kids) > 1:
-            return False
-        v = kids[0]
+    return bool(tree.outdeg[tree.chain_ends[v]] == 0)
 
 
 def is_pl(tree: RootedTree, v: int) -> bool:

@@ -126,18 +126,20 @@ class OffspringPmf:
     def support(self) -> tuple[int, ...]:
         return tuple(k for k, p in enumerate(self.probs) if p > 0)
 
-    def require_critical(self, tol: float = 1e-9) -> None:
-        if abs(self.mean - 1.0) > tol:
-            raise InvalidPmf(f"offspring mean {self.mean!r} is not 1 within {tol}")
+    def require_critical(self) -> None:
+        if abs(self.mean - 1.0) > 1e-9:
+            raise InvalidPmf(f"offspring mean {self.mean!r} is not 1 within 1e-09")
 
 
 def check_pa(rho: float, chi: int, error: type[Exception] = InvalidParams) -> None:
     """Raise ``error`` unless weight rho + chi * children(v) is a growth rule:
-    chi in {-1, 0, +1}, rho > 0, and integer rho when chi = -1."""
+    chi in {-1, 0, +1}, finite rho > 0, and integer rho when chi = -1."""
     if chi not in (-1, 0, 1):
         raise error(f"chi must be -1, 0 or +1, got {chi}")
     if not rho > 0:
         raise error(f"rho must be positive, got {rho}")
+    if not math.isfinite(rho):
+        raise error(f"rho must be finite, got {rho}")
     if chi == -1 and float(rho) != int(rho):
         raise error(f"chi = -1 requires integer rho, got {rho}")
 
@@ -218,7 +220,6 @@ def sample_conditioned_gw(
     pmf: OffspringPmf,
     n: int,
     rng: np.random.Generator,
-    rejection_budget: int = REJECTION_BUDGET,
 ) -> RootedTree:
     """Critical branching tree conditioned to have exactly ``n`` vertices.
 
@@ -229,7 +230,7 @@ def sample_conditioned_gw(
     depth-first order (Devroye, SIAM J. Comput. 41(1), 2012), in O(n) array
     passes.  Exact: given its counts, an i.i.d. sequence is a uniform
     arrangement of them.  Acceptance is Theta(n^-1/2) for finite-variance
-    critical offspring.
+    critical offspring.  Gives up after ``REJECTION_BUDGET`` attempts.
     """
     if n < 1:
         raise InvalidParams(f"tree size must be >= 1, got {n}")
@@ -251,8 +252,8 @@ def sample_conditioned_gw(
     # attempts often holds a hit.
     batch = max(16, math.isqrt(n))
     attempts = 0
-    while attempts < rejection_budget:
-        size = min(batch, rejection_budget - attempts)
+    while attempts < REJECTION_BUDGET:
+        size = min(batch, REJECTION_BUDGET - attempts)
         counts = rng.multinomial(n, probs, size=size)
         attempts += size
         hits = np.flatnonzero(counts @ values == n - 1)
@@ -261,7 +262,7 @@ def sample_conditioned_gw(
             rng.shuffle(degs)
             return build_from_parents(_lukasiewicz_parents(degs))
     raise UnreachableSize(
-        f"no size-{n} tree found within {rejection_budget} attempts"
+        f"no size-{n} tree found within {REJECTION_BUDGET} attempts"
     )
 
 

@@ -141,49 +141,43 @@ def is_resolving(tree: RootedTree, candidate) -> bool:
     return resolving_witness(tree, candidate).resolves
 
 
-def _search_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The bit of each vertex, in the narrowest unsigned dtype that holds n
-    bits, and, per landmark w (row) and vertex pair u < v (column), the
-    places ``w * n + u`` and ``w * n + v`` in the flat distance list."""
+@lru_cache(maxsize=None)
+def _search_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only search arrays for n vertices: the masks of every nonempty
+    subset of ``0..n-1``, the bit of each vertex, in the narrowest unsigned
+    dtype that holds n bits, and, per landmark w (row) and vertex pair
+    u < v (column), the places ``w * n + u`` and ``w * n + v`` in the flat
+    distance list.
+
+    The masks come one size k = 1, ..., n after another, each size in
+    ``itertools.combinations`` order: every (k-1)-subset in that order,
+    extended by each vertex above its last in turn.
+    """
     dtype = np.min_scalar_type((1 << n) - 1)
     bits = np.array([1 << (n - 1 - v) for v in range(n)], dtype=dtype)
     rows = np.arange(0, n * n, n)[:, None]
     u, v = np.triu_indices(n, 1)
-    return bits, rows + u, rows + v
-
-
-def _subsets(n: int, bits: np.ndarray):
-    """Yield the masks of the k-subsets of ``0..n-1`` for k = 1, ..., n, each
-    in ``itertools.combinations`` order: every (k-1)-subset in that order,
-    extended by each vertex above its last in turn."""
-    masks, last = np.zeros(1, dtype=bits.dtype), np.array([-1])
+    sizes = []
+    masks, last = np.zeros(1, dtype=dtype), np.array([-1])
     for _ in range(n):
         grow = n - 1 - last
         first = np.repeat(np.cumsum(grow) - grow, grow)
         last = np.repeat(last + 1, grow) + np.arange(len(first)) - first
         masks = np.repeat(masks, grow) | bits[last]
-        yield masks
-
-
-@lru_cache(maxsize=None)
-def _cached_search(n: int) -> tuple[tuple[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_search_arrays` with every subset in one read-only table."""
-    bits, at_u, at_v = _search_arrays(n)
-    table = np.concatenate(list(_subsets(n, bits)))
-    for array in (table, bits, at_u, at_v):
+        sizes.append(masks)
+    arrays = (np.concatenate(sizes), bits, rows + u, rows + v)
+    for array in arrays:
         array.flags.writeable = False
-    return (table,), bits, at_u, at_v
+    return arrays
 
 
-def brute_force_md(
-    tree: RootedTree, cap: int = BRUTE_FORCE_CAP
-) -> tuple[int, tuple[int, ...]]:
+def brute_force_md(tree: RootedTree) -> tuple[int, tuple[int, ...]]:
     """Smallest resolving set by exhaustive search, with its witness.
 
     Subsets are scanned in increasing size and lexicographic order, so the
     returned witness is deterministic.  A single vertex has metric dimension
     zero (the empty set resolves it vacuously).  Raises :class:`TooLarge`
-    beyond ``cap`` vertices.
+    beyond ``BRUTE_FORCE_CAP`` vertices.
 
     Each subset is a bitmask with vertex v at bit n - 1 - v.  Of two
     subsets of one size, the lexicographically first holds the first
@@ -192,29 +186,22 @@ def brute_force_md(
     in ``itertools.combinations`` order.  The first mask that meets every
     pair mask (the landmarks w with d(w, u) != d(w, v), per pair u < v)
     is the answer; ``_SCAN_ROWS`` masks are tested per numpy pass.  The
-    table of all 2^n - 1 masks is kept for each n <= ``BRUTE_FORCE_CAP``;
-    beyond it, with a larger ``cap``, the masks are made one size at a
-    time, so time and memory grow with the subsets actually tried.
+    table of all 2^n - 1 masks is kept for each n.
     """
     n = tree.n
-    if n > cap:
-        raise TooLarge(f"brute force capped at {cap} vertices, tree has {n}")
+    if n > BRUTE_FORCE_CAP:
+        raise TooLarge(f"brute force capped at {BRUTE_FORCE_CAP} vertices, tree has {n}")
     if n == 1:
         return 0, ()
-    if n <= BRUTE_FORCE_CAP:
-        tables, bits, at_u, at_v = _cached_search(n)
-    else:
-        bits, at_u, at_v = _search_arrays(n)
-        tables = _subsets(n, bits)
+    table, bits, at_u, at_v = _search_tables(n)
     dist = np.array(_distances(tree, range(n)))
     pairs = (bits @ (dist[at_u] != dist[at_v]))[:, None]
-    for table in tables:
-        for start in range(0, len(table), _SCAN_ROWS):
-            block = table[start : start + _SCAN_ROWS]
-            ok = (pairs & block).all(0)
-            first = int(ok.argmax())
-            if ok[first]:
-                mask = int(block[first])
-                witness = tuple(w for w in range(n) if mask >> (n - 1 - w) & 1)
-                return len(witness), witness
+    for start in range(0, len(table), _SCAN_ROWS):
+        block = table[start : start + _SCAN_ROWS]
+        ok = (pairs & block).all(0)
+        first = int(ok.argmax())
+        if ok[first]:
+            mask = int(block[first])
+            witness = tuple(w for w in range(n) if mask >> (n - 1 - w) & 1)
+            return len(witness), witness
     raise AssertionError("the full vertex set always resolves")

@@ -1,9 +1,9 @@
 """Adaptive Simpson quadrature with Richardson extrapolation.
 
 Good to near machine precision for smooth integrands on compact intervals;
-mild endpoint (Holder-type) singularities are handled by the depth cap,
-whose forced-accept cells contribute provably negligible error because the
-integrand stays bounded.
+mild endpoint (Holder-type) singularities are handled by the depth cap
+``MAX_DEPTH``, whose forced-accept cells contribute provably negligible
+error because the integrand stays bounded.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
+MAX_DEPTH = 60
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -19,13 +21,10 @@ class QuadratureSpec:
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_depth: int = 60
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise DomainError("quadrature tolerances must be positive")
-        if self.max_depth < 10:
-            raise DomainError("quadrature max_depth must be at least 10")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -55,7 +54,7 @@ def adaptive_simpson(
         delta = left + right - whole
         # |delta|/15 estimates the error of the refined rule.
         local_tol = max(tol, spec.rel_tol * abs(left + right))
-        if depth >= spec.max_depth or abs(delta) <= 15.0 * local_tol:
+        if depth >= MAX_DEPTH or abs(delta) <= 15.0 * local_tol:
             return left + right + delta / 15.0, abs(delta) / 15.0
         lval, lerr = recurse(lo, mid, flo, flm, fmid, left, tol / 2.0, depth + 1)
         rval, rerr = recurse(mid, hi, fmid, frm, fhi, right, tol / 2.0, depth + 1)

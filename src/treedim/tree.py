@@ -284,8 +284,8 @@ def _parse_exact(text: str) -> np.ndarray | None:
 def parse(text: str) -> RootedTree:
     """Decode the text format produced by :func:`serialize`, validating fully.
 
-    Text in the exact form :func:`serialize` writes takes a byte-level
-    digit pass; any other text is split into stripped non-blank lines.
+    Text in the exact form :func:`serialize` writes takes a byte-level digit
+    pass; any other text is read token by token from its stripped lines.
     """
     parents = _parse_exact(text)
     if parents is not None:
@@ -300,17 +300,6 @@ def parse(text: str) -> RootedTree:
     body = rows[1:]
     if len(body) != n:
         raise TreeFormatError(f"expected {n} vertex lines, found {len(body)}")
-    if body.count(ROOT_TOKEN) == 1:
-        body[body.index(ROOT_TOKEN)] = "-1"
-        try:
-            parents = np.array(body, dtype=np.int64)
-        except (ValueError, OverflowError):
-            pass  # a bad token: the loop below names it
-        else:
-            # A literal -1 would read as a second root, not as out of range.
-            if np.count_nonzero(parents == -1) == 1:
-                return build_from_parents(parents)
-        body = rows[1:]
     entries: list[int | None] = []
     for line in body:
         if line == ROOT_TOKEN:

@@ -169,9 +169,6 @@ def criterion_internal_consistency() -> list[CheckResult]:
 
 def _increasing_trees(n: int):
     """All rooted trees on n vertices with parent(i) < i."""
-    if n == 1:
-        yield build_from_parents([None])
-        return
     for choice in product(*[range(i) for i in range(1, n)]):
         yield build_from_parents([None, *choice])
 
@@ -210,7 +207,7 @@ def criterion_slater_oracle(seed: int = DEFAULT_SEED) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def criterion_epsilon_audit(seed: int = DEFAULT_SEED, total: int = 10_000) -> list[CheckResult]:
+def criterion_epsilon_audit(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     def cmj(n, rng):
         return simulate_cmj(PAParams(1.0, 1), FixedSize(n), rng).tree
 
@@ -224,6 +221,7 @@ def criterion_epsilon_audit(seed: int = DEFAULT_SEED, total: int = 10_000) -> li
     ]
     spec = RngSpec(seed)
     sizes = (10, 100, 1000)
+    total = 10_000
     cells = len(models) * len(sizes)
     quota = -(-total // cells)  # ceil
     epsilons: Counter[int] = Counter()
@@ -258,13 +256,9 @@ def criterion_epsilon_audit(seed: int = DEFAULT_SEED, total: int = 10_000) -> li
 # ---------------------------------------------------------------------------
 
 
-def criterion_figure1(
-    seed: int = DEFAULT_SEED,
-    workers: int = 1,
-    trials: int = 1000,
-    n: int = 1000,
-) -> list[CheckResult]:
+def criterion_figure1(seed: int = DEFAULT_SEED, workers: int = 1) -> list[CheckResult]:
     t0 = time.perf_counter()
+    trials, n = 1000, 1000
     models = [
         ("bst", PAModel(PAParams(2.0, -1))),
         ("rrt", PAModel(PAParams(1.0, 0))),
@@ -309,9 +303,8 @@ def _shape_key(tree: RootedTree) -> tuple[int, ...]:
     return tuple(len(tree.children[v]) for v in tree.order)
 
 
-def criterion_embedding_tv(
-    seed: int = DEFAULT_SEED, samples: int = 100_000
-) -> list[CheckResult]:
+def criterion_embedding_tv(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    samples = 100_000
     spec = RngSpec(seed)
     checks = []
     for idx, (rho, chi) in enumerate(EMBEDDING_PARAMS):
@@ -341,7 +334,8 @@ def criterion_embedding_tv(
 # ---------------------------------------------------------------------------
 
 
-def criterion_h_tail(seed: int = DEFAULT_SEED, samples: int = 100_000) -> list[CheckResult]:
+def criterion_h_tail(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    samples = 100_000
     spec = RngSpec(seed)
     checks = []
     for idx, (lam, nu, t) in enumerate(((1.0, 1.0, 1.0), (1.0, 2.0, 2.0), (2.0, 1.0, 0.5))):
@@ -432,9 +426,8 @@ def _simulate_branch_event(rho: float, chi: int, x: float, rng) -> bool:
     return any(lines)
 
 
-def criterion_conditional_oracles(
-    seed: int = DEFAULT_SEED, trials: int = 100_000
-) -> list[CheckResult]:
+def criterion_conditional_oracles(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    trials = 100_000
     spec = RngSpec(seed)
     checks = []
     stream = 5_000

@@ -319,6 +319,19 @@ class TestBadInput:
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("generate", "--model", "pa", "-n", "5", "--seed", "1"),
+            ("constant", "--model", "general"),
+            ("experiment", "--model", "pa", "-n", "5", "--trials", "2", "--seed", "1"),
+        ],
+        ids=["generate", "constant", "experiment"],
+    )
+    def test_infinite_rho(self, capsys, argv):
+        code, _, err = run(capsys, *argv, "--rho", "inf", "--chi", "-1")
+        assert code == 2 and err.startswith("error:") and "finite" in err
+
     def test_mary_constant_overflow(self, capsys):
         code, _, err = run(capsys, "constant", "--model", "mary", "--m", "200")
         assert code == 2 and "c_mary(200)" in err

@@ -12,7 +12,6 @@ from treedim import (
     c_general,
     c_gw,
     c_mary,
-    c_rich,
     c_rrt,
     gw_pk_prob,
     h_tail,
@@ -107,8 +106,6 @@ class TestQuadrature:
     def test_spec_validation(self):
         with pytest.raises(DomainError):
             QuadratureSpec(rel_tol=-1)
-        with pytest.raises(DomainError):
-            QuadratureSpec(max_depth=3)
 
 
 class TestGWConstant:
@@ -185,9 +182,9 @@ class TestRRTConstant:
 
 class TestRichConstant:
     def test_table(self):
-        assert c_rich(1.0).value == pytest.approx(0.50120, abs=5e-5)
-        assert c_rich(2.0).value == pytest.approx(0.40304, abs=5e-5)
-        assert c_rich(0.1).value == pytest.approx(0.87501, abs=5e-5)
+        assert c_general(1.0, 1).value == pytest.approx(0.50120, abs=5e-5)
+        assert c_general(2.0, 1).value == pytest.approx(0.40304, abs=5e-5)
+        assert c_general(0.1, 1).value == pytest.approx(0.87501, abs=5e-5)
 
     def test_integral_split_published_values(self):
         i1, i2, _ = _general_integrals(1.0, 1, QuadratureSpec())
@@ -204,16 +201,13 @@ class TestRichConstant:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            c_rich(0.0)
+            c_general(0.0, 1)
 
 
 class TestGeneralConstant:
     def test_matches_mary(self):
         for m in (2, 3, 4, 5):
             assert abs(c_general(float(m), -1).value - c_mary(m).value) <= 1e-9
-
-    def test_matches_rich(self):
-        assert abs(c_general(1.0, 1).value - c_rich(1.0).value) <= 1e-9
 
     @pytest.mark.parametrize("rho", [0.1, 0.5, 1.0, 2.0])
     def test_rich_matches_pk_integral(self, rho):
@@ -238,13 +232,17 @@ class TestGeneralConstant:
         with pytest.raises(DomainError):
             c_general(2.5, -1)
 
+    def test_infinite_rho_rejected(self):
+        with pytest.raises(DomainError, match="finite"):
+            c_general(math.inf, -1)
+
     def test_all_constants_in_unit_interval(self):
         values = [
             c_mary(2).value,
             c_rrt().value,
             c_gw(OffspringPmf.poisson(1.0)).value,
-            c_rich(0.1).value,
-            c_rich(10.0).value,
+            c_general(0.1, 1).value,
+            c_general(10.0, 1).value,
             c_general(5.0, -1).value,
         ]
         assert all(0.0 < v < 1.0 for v in values)
@@ -252,7 +250,7 @@ class TestGeneralConstant:
     def test_rich_monotone_on_grid(self):
         # observed on the evaluation grid; logged rather than a theorem
         grid = [0.1, 0.5, 1.0, 2.0]
-        values = [c_rich(r).value for r in grid]
+        values = [c_general(r, 1).value for r in grid]
         print("rich-get-richer constants over rho grid:", list(zip(grid, values)))
         assert values == sorted(values, reverse=True)
 
@@ -260,7 +258,7 @@ class TestGeneralConstant:
         tight = QuadratureSpec(rel_tol=5e-11, abs_tol=5e-13)
         for make in (
             lambda spec: c_rrt(spec),
-            lambda spec: c_rich(1.0, spec),
+            lambda spec: c_general(1.0, 1, spec),
             lambda spec: c_general(5.0, -1, spec),
             lambda spec: c_general(0.1, 1, spec),
         ):

@@ -108,10 +108,6 @@ class TestRun:
         assert sum(s.histogram.values()) == 10 * 40
         assert s.mean == pytest.approx(s.histogram.get(1, 0) / (10 * 40), abs=0.2)
 
-    def test_reference_override(self):
-        s = run_experiment(small_config(), reference=0.5)
-        assert s.constant == 0.5 and s.abs_diff == pytest.approx(abs(s.mean - 0.5))
-
     def test_convergence_tightens_with_n(self):
         # coarse two-point check that larger trees sit closer to the limit
         c = c_general(2.0, -1).value

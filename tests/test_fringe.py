@@ -158,6 +158,7 @@ class TestTupleCoreOracle:
         flags = tuple_core.line_flags(ref)
         sizes = tuple_core.subtree_sizes(ref)
         assert line_flags(t).tolist() == flags
+        assert [is_line(t, v) for v in range(t.n)] == flags
         assert subtree_sizes(t) == sizes
         assert count_subtree_property(t, is_line) == sum(flags)
         assert count_subtree_property(t, is_pl) == sum(not kids for kids in ref.children)

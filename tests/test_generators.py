@@ -29,6 +29,7 @@ from treedim import (
     serialize,
     simulate_cmj,
 )
+from treedim import generators
 from treedim.errors import InvalidParams, InvalidPmf, TreeStructureError, UnreachableSize
 from treedim.fringe import subtree_sizes
 from treedim.generators import _lukasiewicz_parents
@@ -251,13 +252,14 @@ class TestConditionedGW:
             sample_conditioned_gw(pmf, 4, RngSpec(5).stream(0))
         sample_conditioned_gw(pmf, 5, RngSpec(5).stream(0))
 
-    def test_unreachable_budget(self):
+    def test_unreachable_budget(self, monkeypatch):
         # support {0,2,3} cannot sum to 1 over two draws, but passes the
         # lattice pre-check; the rejection budget must catch it
+        monkeypatch.setattr(generators, "REJECTION_BUDGET", 4000)
         pmf = OffspringPmf.from_probs([0.6, 0.0, 0.2, 0.2])
         pmf.require_critical()
-        with pytest.raises(UnreachableSize):
-            sample_conditioned_gw(pmf, 2, RngSpec(6).stream(0), rejection_budget=4000)
+        with pytest.raises(UnreachableSize, match="within 4000 attempts"):
+            sample_conditioned_gw(pmf, 2, RngSpec(6).stream(0))
 
     def test_invalid_sizes(self):
         with pytest.raises(InvalidParams):
@@ -335,6 +337,9 @@ class TestPATree:
             PAParams(0.0, 1)
         with pytest.raises(InvalidParams):
             PAParams(1.0, 2)
+        for chi in (-1, 0, 1):
+            with pytest.raises(InvalidParams, match="finite"):
+                PAParams(math.inf, chi)
 
     def test_left_size_uniform_after_random_orientation(self):
         # In a binary search tree the left-subtree size is uniform on
