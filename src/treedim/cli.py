@@ -75,12 +75,16 @@ def _load_pmf(path: str | None) -> OffspringPmf:
     return OffspringPmf.from_probs(probs)
 
 
-def _write_or_print(text: str, out: str | None, force: bool) -> None:
+def _refuse_existing(out: str | None, force: bool) -> None:
+    """Called before any work, so a refused ``--out`` costs nothing."""
+    if out is not None and os.path.exists(out) and not force:
+        raise TreedimError(f"{out} exists; pass --force to overwrite")
+
+
+def _write_or_print(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
         return
-    if os.path.exists(out) and not force:
-        raise TreedimError(f"{out} exists; pass --force to overwrite")
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -100,12 +104,13 @@ def _model(args) -> ModelSpec:
 
 
 def _cmd_generate(args) -> int:
+    _refuse_existing(args.out, args.force)
     rng = RngSpec(args.seed).stream(0)
     if args.model == "cmj":  # stopped at the requested size; birth times are dropped
         tree = simulate_cmj(_pa_params(args), FixedSize(args.n), rng).tree
     else:
         tree = _model(args).sample(args.n, rng)
-    _write_or_print(serialize(tree), args.out, args.force)
+    _write_or_print(serialize(tree), args.out)
     return 0
 
 
@@ -168,6 +173,7 @@ def _cmd_constant(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    _refuse_existing(args.out, args.force)
     config = ExperimentConfig(
         model=_model(args),
         n=args.n,
@@ -286,9 +292,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except TreedimError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileExistsError as exc:
-        print(f"error: {exc}; pass --force to overwrite", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -261,7 +261,8 @@ def _general_integrals(
         w = 1.0 - u
         # e^{chi x} (e^{r u} - 1) / rho, with e^{chi x} = w^{-chi/a}
         t = w ** (-chi / a) * math.expm1(r * u) / rho
-        return (1.0 + chi * t) ** (-rho / chi)
+        # (1 + chi t)^(-rho/chi); log1p keeps what 1 + chi t rounds off at huge rho
+        return math.exp(-(rho / chi) * math.log1p(chi * t))
 
     def f2(u: float) -> float:
         if u >= 1.0:

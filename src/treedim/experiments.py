@@ -124,7 +124,6 @@ class ExperimentConfig:
     master_seed: int
     statistic: str = "beta_over_n"
     workers: int = 1
-    retain_values: bool = False
 
     def __post_init__(self):
         if not isinstance(self.model, ModelSpec):
@@ -163,7 +162,6 @@ class ExperimentSummary:
     ci_hi: float
     constant: float | None
     abs_diff: float | None
-    values: tuple[float, ...] | None = None
     histogram: dict[int, int] | None = None
 
 
@@ -238,14 +236,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     wants_hist = config.statistic == "fringe_histogram"
     welford = _Welford()
     histogram: Counter[int] | None = Counter() if wants_hist else None
-    values: list[float] | None = [] if config.retain_values else None
 
     def consume(value: float, hist: dict[int, int] | None) -> None:
         welford.update(value)
         if histogram is not None and hist is not None:
             histogram.update(hist)
-        if values is not None:
-            values.append(value)
 
     if config.workers == 1:
         for i in range(config.trials):
@@ -279,7 +274,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
         ci_hi=mean + 1.96 * stderr,
         constant=reference,
         abs_diff=None if reference is None else abs(mean - reference),
-        values=tuple(values) if values is not None else None,
         histogram=dict(histogram) if histogram is not None else None,
     )
 

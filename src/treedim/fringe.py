@@ -9,7 +9,9 @@ away from the root.  Three canonical properties are used throughout:
   child's subtree is a line.
 
 Counting any of the three over a whole tree takes a few array passes over
-the parent array: outdegrees, line flags and line-children counts.
+the parent array: outdegrees, line flags and line-children counts.  Subtree
+sizes, and the fringe histogram built from them, take one pointer-doubling
+pass over the same array.
 """
 
 from __future__ import annotations
@@ -20,16 +22,7 @@ import numpy as np
 
 from .errors import IsPath, VertexOutOfRange
 from .metric_dimension import md_report
-from .tree import RootedTree, _stable_order, child_counts, line_flags
-
-
-# Subtree sizes are summed level by level only when the levels hold at
-# least this many vertices on average; taller trees take the Python pass.
-# The level pass pays a few numpy calls per level, the Python pass a loop
-# step per vertex.  On uniform trees and brooms of 2,000 to 100,000
-# vertices they broke even at 20 to 30 vertices per level (2-core x86-64
-# Xeon, Python 3.11, numpy 2.4).
-_MIN_LEVEL_WIDTH = 32
+from .tree import RootedTree, child_counts, line_flags
 
 
 def _check_vertex(tree: RootedTree, v: int) -> None:
@@ -38,44 +31,28 @@ def _check_vertex(tree: RootedTree, v: int) -> None:
 
 
 def _sizes(tree: RootedTree) -> np.ndarray:
-    """Hanging-subtree sizes, summed level by level from the deepest up.
+    """Hanging-subtree sizes by pointer doubling over the parent array.
 
-    Depth comes from pointer doubling and orders the vertices by a radix
-    sort, so each level is one slice of the order; a tree with more than
-    ``n / _MIN_LEVEL_WIDTH`` levels is summed vertex by vertex instead.
+    After round k, ``size[v]`` counts the vertices u that have v among the
+    first 2^k vertices of their path to the root (u itself included), and
+    ``jump[u]`` is u's 2^k-th ancestor, or the sentinel n above the root,
+    whose bin feeds only itself and is dropped; ``height.bit_length()``
+    rounds in all.  The bins are float64 sums (``np.bincount`` takes only
+    float weights), exact for n < 2^53.
     """
-    parents, root, n = tree.parents, tree.root, tree.n
-    # Pointer doubling: depth[v] is the distance from v to anc[v].
-    depth = (parents >= 0).astype(np.int64)
-    anc = parents.copy()
-    anc[root] = root
-    while not (anc == root).all():
-        depth += depth[anc]
-        anc = anc[anc]
-    down = _stable_order(depth)
-    height = int(depth[down[-1]])
-    if height * _MIN_LEVEL_WIDTH > n:
-        up = down[:0:-1]  # children before parents, root left out
-        sizes = [1] * n
-        for v, p in zip(up.tolist(), parents[up].tolist()):
-            sizes[p] += sizes[v]
-        return np.array(sizes)
-    at = np.empty(n, dtype=np.int64)
-    at[down] = np.arange(n)
-    above = at[parents[down[1:]]]  # position of the parent of position i + 1
-    ends = np.cumsum(np.bincount(depth))
-    sized = np.ones(n, dtype=np.int64)
-    for d in range(height, 0, -1):
-        lo, hi = ends[d - 1], ends[d]
-        # A copy: an operand overlapping ``sized`` makes numpy copy it whole.
-        np.add.at(sized, above[lo - 1 : hi - 1], sized[lo:hi].copy())
-    return sized[at]
+    n = tree.n
+    jump = np.append(tree.parents, n)
+    jump[tree.root] = n
+    size = np.ones(n + 1)
+    while jump.min() < n:
+        size += np.bincount(jump, weights=size, minlength=n + 1)
+        jump = jump[jump]
+    return size[:n].astype(np.int64)
 
 
 def subtree_sizes(tree: RootedTree) -> list[int]:
-    """Size of the hanging subtree of each vertex: one ``np.add.at`` per
-    depth level, deepest first, or a Python pass for trees taller than
-    ``n / _MIN_LEVEL_WIDTH``."""
+    """Size of the hanging subtree of each vertex, by pointer doubling:
+    ``height.bit_length()`` rounds of one ``np.bincount`` each."""
     return _sizes(tree).tolist()
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, InvalidPmf, UnreachableSize
-from .tree import RootedTree, _stable_order, build_from_parents
+from .tree import RootedTree, build_from_parents
 
 _MASK64 = (1 << 64) - 1
 
@@ -188,6 +188,20 @@ class ExpDoomsday:
 # ---------------------------------------------------------------------------
 
 REJECTION_BUDGET = 1_000_000
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for nonnegative integer keys.
+
+    Sorts stably by one 16-bit digit at a time, least significant first;
+    numpy sorts 16-bit keys by radix sort, so each pass is O(n).
+    """
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    top = int(keys.max()) if keys.size else 0
+    for shift in range(16, top.bit_length(), 16):
+        digit = (keys[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+    return order
 
 
 def _lukasiewicz_parents(degs: np.ndarray) -> np.ndarray:
@@ -350,10 +364,13 @@ def sample_pa_tree(params: PAParams, n: int, rng: np.random.Generator) -> Rooted
     Exact, in O(n) array passes: chi = 0 attaches to a uniform earlier
     vertex, chi = +1 mixes that with copying the parent end of a uniform
     edge (plus O(log n) pointer-jumping rounds), and chi = -1 fills a
-    uniform free slot.
+    uniform free slot; it refuses more than 2^53 slots, (rho - 1)(n - 1) + 1,
+    where float64 picks stop being exact.
     """
     if n < 1:
         raise InvalidParams(f"tree size must be >= 1, got {n}")
+    if params.chi == -1 and (int(params.rho) - 1) * (n - 1) + 1 > 2**53:
+        raise InvalidParams(f"chi = -1 at rho = {params.rho:g}, n = {n} needs over 2^53 slots")
     if params.chi == 0:
         picks = (rng.random(n - 1) * np.arange(1, n)).astype(np.int64)
     elif params.chi == 1:

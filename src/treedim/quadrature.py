@@ -8,6 +8,7 @@ error because the integrand stays bounded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -23,8 +24,8 @@ class QuadratureSpec:
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise DomainError("quadrature tolerances must be positive")
+        if not (0 < self.rel_tol < 1 and 0 < self.abs_tol < math.inf):
+            raise DomainError("quadrature tolerances must be finite, positive, rel_tol < 1")
 
 
 DEFAULT_SPEC = QuadratureSpec()

@@ -100,20 +100,6 @@ def child_counts(parents: np.ndarray, n: int) -> np.ndarray:
     return counts
 
 
-def _stable_order(keys: np.ndarray) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")`` for nonnegative integer keys.
-
-    Sorts stably by one 16-bit digit at a time, least significant first;
-    numpy sorts 16-bit keys by radix sort, so each pass is O(n).
-    """
-    order = np.argsort(keys.astype(np.uint16), kind="stable")
-    top = int(keys.max()) if keys.size else 0
-    for shift in range(16, top.bit_length(), 16):
-        digit = (keys[order] >> shift).astype(np.uint16)
-        order = order[np.argsort(digit, kind="stable")]
-    return order
-
-
 def build_from_parents(parents) -> RootedTree:
     """Validate a parent array and return the tree it describes.
 

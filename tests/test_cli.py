@@ -179,6 +179,11 @@ class TestConstant:
         code, out, _ = run(capsys, "constant", "--model", "gw", "--pmf", str(pmf))
         assert code == 0 and "0.125" in out
 
+    @pytest.mark.parametrize("tol", ["inf", "1e300"])
+    def test_useless_tolerance_refused(self, capsys, tol):
+        code, out, err = run(capsys, "constant", "--model", "rrt", "--tol", tol)
+        assert code == 2 and err.startswith("error:") and out == ""
+
     def test_domain_error_reported(self, capsys):
         code, _, err = run(capsys, "constant", "--model", "general", "--rho", "1", "--chi", "-1")
         assert code == 2 and "error" in err
@@ -195,6 +200,21 @@ class TestExperiment:
         assert "compare: " in out and "pass" in out
         header = open(target).readline().strip()
         assert header.startswith("model,rho,chi,")
+
+    def test_existing_out_refused_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        target = tmp_path / "r.csv"
+        target.write_text("kept\n")
+
+        def fail(config):
+            raise AssertionError("run_experiment ran")
+
+        monkeypatch.setattr("treedim.cli.run_experiment", fail)
+        code, _, err = run(
+            capsys, "experiment", "--model", "uniform", "-n", "20", "--trials", "2",
+            "--seed", "9", "--out", str(target),
+        )
+        assert code == 2 and err.startswith("error:") and err.count("--force") == 1
+        assert target.read_text() == "kept\n"
 
     def test_compare_failure_sets_exit_code(self, capsys):
         code, out, _ = run(
@@ -331,6 +351,14 @@ class TestBadInput:
     def test_infinite_rho(self, capsys, argv):
         code, _, err = run(capsys, *argv, "--rho", "inf", "--chi", "-1")
         assert code == 2 and err.startswith("error:") and "finite" in err
+
+    @pytest.mark.parametrize("command", ["generate", "experiment"])
+    def test_slot_count_beyond_float64(self, capsys, command):
+        argv = [command, "--model", "pa", "--rho", "1e19", "--chi", "-1", "-n", "5", "--seed", "1"]
+        if command == "experiment":
+            argv += ["--trials", "2"]
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error:") and "2^53" in err
 
     def test_mary_constant_overflow(self, capsys):
         code, _, err = run(capsys, "constant", "--model", "mary", "--m", "200")

@@ -107,6 +107,14 @@ class TestQuadrature:
         with pytest.raises(DomainError):
             QuadratureSpec(rel_tol=-1)
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"rel_tol": math.inf}, {"abs_tol": math.inf}, {"rel_tol": 1.0}]
+    )
+    def test_spec_rejects_useless_tolerances(self, kwargs):
+        # Each would accept the first Simpson cell whatever its error.
+        with pytest.raises(DomainError):
+            QuadratureSpec(**kwargs)
+
 
 class TestGWConstant:
     def test_poisson(self):
@@ -223,6 +231,12 @@ class TestGeneralConstant:
         # c_mary(200) is Unsupported; the quadrature still holds there.
         value, _ = c_from_pk_integral(200.0, -1)
         assert abs(c_general(200.0, -1).value - value) <= 1e-9
+
+    @pytest.mark.parametrize("rho", [1e16, 1e300])
+    @pytest.mark.parametrize("chi", [-1, 1])
+    def test_huge_rho_tends_to_recursive_tree(self, rho, chi):
+        # As rho grows the attachment weights flatten to uniform.
+        assert abs(c_general(rho, chi).value - c_rrt().value) <= 1e-9
 
     def test_degenerate_path_model_rejected(self):
         with pytest.raises(DomainError):

@@ -92,11 +92,6 @@ class TestRun:
         assert 0.0 <= s.mean <= 1.0
         assert s.stderr == pytest.approx(s.stddev / math.sqrt(s.trials), abs=1e-15)
 
-    def test_retained_values(self):
-        s = run_experiment(small_config(retain_values=True))
-        assert len(s.values) == 20
-        assert s.mean == pytest.approx(sum(s.values) / 20, abs=1e-12)
-
     def test_gw_model(self):
         config = small_config(model=GWModel(OffspringPmf.poisson(1.0)), trials=10)
         s = run_experiment(config)
@@ -109,9 +104,11 @@ class TestRun:
         assert s.mean == pytest.approx(s.histogram.get(1, 0) / (10 * 40), abs=0.2)
 
     def test_convergence_tightens_with_n(self):
-        # coarse two-point check that larger trees sit closer to the limit
+        # coarse two-point check that larger trees sit closer to the limit:
+        # the RMS deviation of the trial values from the constant c is
+        # sqrt(mean (v - c)^2) = sqrt(population variance + (mean - c)^2)
         c = c_general(2.0, -1).value
-        diffs = []
+        rms = []
         for n, seed in ((250, 100), (4000, 101)):
             config = ExperimentConfig(
                 model=BST,
@@ -119,11 +116,12 @@ class TestRun:
                 trials=200,
                 master_seed=seed,
                 statistic="beta_over_n",
-                retain_values=True,
             )
             s = run_experiment(config)
-            diffs.append(sum(abs(v - c) for v in s.values) / len(s.values))
-        assert diffs[1] <= diffs[0]
+            assert s.constant == c
+            t = s.trials
+            rms.append(math.sqrt(s.stddev**2 * (t - 1) / t + s.abs_diff**2))
+        assert rms[1] <= rms[0]
 
 
 class TestCompare:

@@ -18,7 +18,7 @@ from treedim import (
     sample_uniform_tree,
 )
 from treedim.errors import IsPath
-from treedim.fringe import _MIN_LEVEL_WIDTH, subtree_sizes
+from treedim.fringe import subtree_sizes
 from treedim.tree import line_flags
 
 
@@ -191,8 +191,10 @@ def assert_sizes_match(parents):
 
 
 class TestLevelPass:
-    """Sizes and the histogram's key order on trees wide enough for the
-    level pass, on both sides of its height threshold, and at the edges."""
+    """Sizes and the histogram's key order on wide and tall trees, on
+    heights at the edges of the doubling rounds, and at the edges of n.
+    (Named for the level-by-level pass it was written for; the name keeps
+    the test ids stable.)"""
 
     @pytest.mark.parametrize("n", [2_000, 7_000, 20_000])
     @pytest.mark.parametrize("shuffled", [False, True])
@@ -200,14 +202,13 @@ class TestLevelPass:
         rng = np.random.default_rng([n, shuffled])
         for root in (0, int(rng.integers(n))):
             parents = tuple_core.random_tree(rng, n, "random", shuffled, root)
-            assert height(tuple_core.build_from_parents(parents)) * _MIN_LEVEL_WIDTH <= n
             assert_sizes_match(parents)
 
     @pytest.mark.parametrize("n", [2_000, 20_000])
     @pytest.mark.parametrize("shuffled", [False, True])
     def test_uniform(self, n, shuffled):
-        # Uniform trees this small sit near the height threshold, so both
-        # passes run: n = 2,000 is mostly taller, n = 20,000 mostly wider.
+        # Labelled breadth-first (parents before children) or at random,
+        # rooted at 0 or at a random vertex.
         rng = RngSpec(81).stream(n)
         labelled = [None if p < 0 else p for p in sample_uniform_tree(n, rng).parents.tolist()]
         if not shuffled:  # relabel breadth-first, so parents precede children
@@ -223,17 +224,20 @@ class TestLevelPass:
         rng = np.random.default_rng(82)
         assert_sizes_match(tuple_core.random_tree(rng, 5_000, shape, True, 17))
 
-    @pytest.mark.parametrize("step", [-1, 1])
+    @pytest.mark.parametrize("step", [-1, 0, 1])
     @pytest.mark.parametrize("shuffled", [False, True])
     def test_brooms_at_the_threshold(self, step, shuffled):
+        # Heights 2^k + step: 2^k - 1 takes k doubling rounds, 2^k and
+        # 2^k + 1 take k + 1.
         n = 6_400
-        h = n // _MIN_LEVEL_WIDTH + step
-        rng = np.random.default_rng([h, shuffled])
-        parents = broom(rng, n, h)
-        if shuffled:
-            parents = tuple_core.relabel(parents, rng.permutation(n).tolist())
-        assert height(tuple_core.build_from_parents(parents)) == h
-        assert_sizes_match(parents)
+        for k in (6, 12):
+            h = 2**k + step
+            rng = np.random.default_rng([h, shuffled])
+            parents = broom(rng, n, h)
+            if shuffled:
+                parents = tuple_core.relabel(parents, rng.permutation(n).tolist())
+            assert height(tuple_core.build_from_parents(parents)) == h
+            assert_sizes_match(parents)
 
     def test_star_and_single_vertex(self):
         assert_sizes_match([None, *[0] * 999])

@@ -32,8 +32,8 @@ from treedim import (
 from treedim import generators
 from treedim.errors import InvalidParams, InvalidPmf, TreeStructureError, UnreachableSize
 from treedim.fringe import subtree_sizes
-from treedim.generators import _lukasiewicz_parents
-from treedim.tree import _stable_order, build_from_parents
+from treedim.generators import _lukasiewicz_parents, _stable_order
+from treedim.tree import build_from_parents
 from treedim.verify import EMBEDDING_PARAMS, FIGURE_GRID
 
 
@@ -329,6 +329,18 @@ class TestPATree:
         for _ in range(40):
             t = sample_pa_tree(PAParams(2.0, -1), 40, rng)
             assert all(len(kids) <= 2 for kids in t.children)
+
+    def test_slot_indices_beyond_float64_refused(self):
+        # (m - 1)(n - 1) + 1 free-slot indices must stay below 2^53.
+        rng = RngSpec(15).stream(0)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidParams, match="2\\^53"):
+            sample_pa_tree(PAParams(1e15, -1), 10**5, rng)
+        assert rng.bit_generator.state == state
+        edge = PAParams(2.0**52 + 1, -1)
+        assert sample_pa_tree(edge, 2, rng).parents.tolist() == [-1, 0]
+        with pytest.raises(InvalidParams):
+            sample_pa_tree(edge, 3, rng)
 
     def test_invalid_params(self):
         with pytest.raises(InvalidParams):
