@@ -4,7 +4,7 @@ Every randomized subcommand requires an explicit ``--seed`` (``verify``
 defaults to a fixed built-in seed so its checks are reproducible as shipped).
 Output files are only overwritten with ``--force``.  Worker counts come from
 ``--threads``, falling back to the ``MDTREE_THREADS`` environment variable,
-defaulting to 1.
+defaulting to 1; an experiment starts no more workers than trials or cores.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .experiments import (
     ModelSpec,
     PAModel,
     UniformModel,
+    check_tolerance,
     compare_to_constant,
     export,
     run_experiment,
@@ -174,6 +175,8 @@ def _cmd_constant(args) -> int:
 
 def _cmd_experiment(args) -> int:
     _refuse_existing(args.out, args.force)
+    if args.compare:
+        check_tolerance(args.tol)
     config = ExperimentConfig(
         model=_model(args),
         n=args.n,

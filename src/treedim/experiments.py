@@ -11,14 +11,13 @@ import csv
 import json
 import math
 import os
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
 from .constants import c_general, c_gw, gw_pk_prob, p_leaf
 from .errors import DomainError, InvalidParams, Unsupported
-from .fringe import count_subtree_property, fringe_size_counts, is_pk, is_pl
+from .fringe import count_subtree_property, is_pk, is_pl
 from .generators import (
     OffspringPmf,
     PAParams,
@@ -30,7 +29,7 @@ from .generators import (
 from .metric_dimension import md_report
 from .tree import RootedTree
 
-STATISTICS = ("beta_over_n", "pl_fraction", "pk_fraction", "fringe_histogram")
+STATISTICS = ("beta_over_n", "pl_fraction", "pk_fraction")
 
 CSV_COLUMNS = (
     "model",
@@ -143,9 +142,7 @@ class ExperimentSummary:
     """Aggregate of one Monte Carlo experiment.
 
     ``constant`` is the model's limiting value for the chosen statistic when
-    one is defined.  For the histogram statistic the scalar per-trial value
-    is the size-1 (leaf) fraction and ``histogram`` carries the summed
-    subtree-size counts across trials.
+    one is defined.
     """
 
     model: str
@@ -162,7 +159,6 @@ class ExperimentSummary:
     ci_hi: float
     constant: float | None
     abs_diff: float | None
-    histogram: dict[int, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -204,26 +200,21 @@ def generate_tree(model: ModelSpec, n: int, rng) -> RootedTree:
 
 def default_reference(config: ExperimentConfig) -> float | None:
     """Limiting value of the configured statistic, when one is defined."""
-    if config.statistic == "fringe_histogram":
-        return None
     try:
         return config.model.limit(config.statistic)
     except (DomainError, Unsupported):
         return None
 
 
-def _trial(config: ExperimentConfig, i: int) -> tuple[float, dict[int, int] | None]:
+def _trial(config: ExperimentConfig, i: int) -> float:
     rng = RngSpec(config.master_seed).stream(i)
     tree = generate_tree(config.model, config.n, rng)
     stat = config.statistic
     if stat == "beta_over_n":
-        return md_report(tree).beta / tree.n, None
+        return md_report(tree).beta / tree.n
     if stat == "pl_fraction":
-        return count_subtree_property(tree, is_pl) / tree.n, None
-    if stat == "pk_fraction":
-        return count_subtree_property(tree, is_pk) / tree.n, None
-    hist = fringe_size_counts(tree)
-    return hist.get(1, 0) / tree.n, hist
+        return count_subtree_property(tree, is_pl) / tree.n
+    return count_subtree_property(tree, is_pk) / tree.n
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
@@ -233,27 +224,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     worker count, so two runs with the same config agree bit for bit.
     """
     reference = default_reference(config)
-    wants_hist = config.statistic == "fringe_histogram"
     welford = _Welford()
-    histogram: Counter[int] | None = Counter() if wants_hist else None
-
-    def consume(value: float, hist: dict[int, int] | None) -> None:
-        welford.update(value)
-        if histogram is not None and hist is not None:
-            histogram.update(hist)
-
-    if config.workers == 1:
+    # The executor forks every worker up front, so there are never more
+    # than there are trials or cores.
+    workers = min(config.workers, config.trials, os.cpu_count() or 1)
+    if workers == 1:
         for i in range(config.trials):
-            consume(*_trial(config, i))
+            welford.update(_trial(config, i))
     else:
-        chunk = max(1, config.trials // (config.workers * 4))
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        chunk = max(1, config.trials // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             # map preserves input order, so the replayed reduction below is
             # identical to the single-worker stream.
-            for value, hist in pool.map(
+            for value in pool.map(
                 partial(_trial, config), range(config.trials), chunksize=chunk
             ):
-                consume(value, hist)
+                welford.update(value)
 
     stddev = welford.sample_std
     stderr = stddev / math.sqrt(config.trials)
@@ -274,8 +260,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
         ci_hi=mean + 1.96 * stderr,
         constant=reference,
         abs_diff=None if reference is None else abs(mean - reference),
-        histogram=dict(histogram) if histogram is not None else None,
     )
+
+
+def check_tolerance(tolerance: float) -> None:
+    """Refuse a comparison tolerance that is not finite and >= 0: NaN or a
+    negative one fails every mean, an infinite one passes every mean."""
+    if not 0 <= tolerance < math.inf:
+        raise InvalidParams(f"tolerance must be finite and >= 0, got {tolerance!r}")
 
 
 def compare_to_constant(
@@ -286,6 +278,7 @@ def compare_to_constant(
     Reports pass/fail both for the caller's absolute tolerance and for the
     three-standard-error band around the Monte Carlo mean.
     """
+    check_tolerance(tolerance)
     value = getattr(constant, "value", constant)
     diff = abs(summary.mean - value)
     band = 3.0 * summary.stderr

@@ -8,10 +8,10 @@ away from the root.  Three canonical properties are used throughout:
 * ``is_pk``   -- the vertex has at least two children and at least one
   child's subtree is a line.
 
-Counting any of the three over a whole tree takes a few array passes over
-the parent array: outdegrees, line flags and line-children counts.  Subtree
-sizes, and the fringe histogram built from them, take one pointer-doubling
-pass over the same array.
+The predicates and counters read the tree's cached arrays: outdegrees,
+line flags and line-children counts.  Subtree sizes, and the fringe
+histogram built from them, take one pointer-doubling pass over the parent
+array.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import IsPath, VertexOutOfRange
 from .metric_dimension import md_report
-from .tree import RootedTree, child_counts, line_flags
+from .tree import RootedTree, pk_flags
 
 
 def _check_vertex(tree: RootedTree, v: int) -> None:
@@ -59,7 +59,7 @@ def subtree_sizes(tree: RootedTree) -> list[int]:
 def is_line(tree: RootedTree, v: int) -> bool:
     """True iff every vertex in the subtree below ``v`` has at most one child."""
     _check_vertex(tree, v)
-    return bool(tree.outdeg[tree.chain_ends[v]] == 0)
+    return bool(tree.line[v])
 
 
 def is_pl(tree: RootedTree, v: int) -> bool:
@@ -71,10 +71,7 @@ def is_pl(tree: RootedTree, v: int) -> bool:
 def is_pk(tree: RootedTree, v: int) -> bool:
     """True iff ``v`` has >= 2 children and some child's subtree is a line."""
     _check_vertex(tree, v)
-    kids = tree.children[v]
-    if len(kids) < 2:
-        return False
-    return any(is_line(tree, c) for c in kids)
+    return bool(tree.outdeg[v] >= 2 and tree.line_kids[v] > 0)
 
 
 def count_subtree_property(tree: RootedTree, predicate) -> int:
@@ -88,10 +85,9 @@ def count_subtree_property(tree: RootedTree, predicate) -> int:
     if predicate is is_pl:
         return int(np.count_nonzero(tree.outdeg == 0))
     if predicate is is_line:
-        return int(np.count_nonzero(line_flags(tree)))
+        return int(np.count_nonzero(tree.line))
     if predicate is is_pk:
-        line_kids = child_counts(tree.parents[line_flags(tree)], tree.n)
-        return int(np.count_nonzero((tree.outdeg >= 2) & (line_kids > 0)))
+        return int(np.count_nonzero(pk_flags(tree)))
     return sum(1 for v in range(tree.n) if predicate(tree, v))
 
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import TooLarge, VertexOutOfRange
-from .tree import RootedTree, child_counts
+from .tree import RootedTree, is_path, pk_flags
 
 BRUTE_FORCE_CAP = 16
 _SCAN_ROWS = 4096  # subsets tested at once: about 1 MB of scratch at n = 16
@@ -68,16 +68,11 @@ def md_report(tree: RootedTree) -> MDReport:
     Each step is an array pass over the parent array.
     """
     outdeg, root = tree.outdeg, tree.root
-    ends = tree.chain_ends
-    line = outdeg[ends] == 0
     # A non-root vertex is a leaf with no children, the root with one.
     leaf = outdeg == 0
     leaf[root] = outdeg[root] == 1
     leaves = tuple(leaf.nonzero()[0].tolist())
-    top = int(outdeg[root])
-    line_kids = child_counts(tree.parents[line], tree.n)
-    heavy = top - int(line_kids[root])
-    if top <= 2 and heavy == 0:
+    if is_path(tree):
         return MDReport(
             leaves=leaves,
             exterior_major=(),
@@ -85,11 +80,12 @@ def md_report(tree: RootedTree) -> MDReport:
             is_path=True,
         )
 
-    exterior = (outdeg >= 2) & (line_kids > 0)
-    exterior[root] = top >= 3 and line_kids[root] > 0
-    if top <= 2 and heavy == 1:
-        child = ((tree.parents == root) & ~line).nonzero()[0][0]
-        exterior[ends[child]] = True
+    top, top_lines = int(outdeg[root]), int(tree.line_kids[root])
+    exterior = pk_flags(tree)
+    exterior[root] = top >= 3 and top_lines > 0
+    if top <= 2 and top - top_lines == 1:
+        child = ((tree.parents == root) & ~tree.line).nonzero()[0][0]
+        exterior[tree.chain_ends[child]] = True
     exterior_major = tuple(exterior.nonzero()[0].tolist())
     return MDReport(
         leaves=leaves,

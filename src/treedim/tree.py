@@ -1,9 +1,9 @@
 """Rooted trees on dense integer vertices, plus the on-disk text format.
 
 Vertices are ``0..n-1``.  Exactly one vertex (the root) has no parent.  A
-tree is its validated parent array; outdegrees, children lists and the
-breadth-first order are derived from it on first use.  Children lists are
-in ascending vertex index, which for every generator in this package is
+tree is its validated parent array; outdegrees, the line-subtree flags and
+children lists are derived from it on first use.  Children lists are in
+ascending vertex index, which for every generator in this package is
 insertion order, so ordered-tree distributions are represented faithfully.
 Instances are immutable after construction.
 """
@@ -33,9 +33,9 @@ class RootedTree:
     ``parents[v]`` is the parent of ``v``, or -1 for the root, in a read-only
     int64 array.  Derived on first use and cached: ``outdeg[v]`` counts the
     children of ``v``; ``chain_ends[v]`` ends the only-child chain below
-    ``v``; ``children[v]`` lists the children in ascending index order;
-    ``order`` lists every vertex breadth-first from the root, so parents
-    come before their children.
+    ``v``; ``line[v]`` flags a line subtree below ``v``; ``line_kids[v]``
+    counts the children of ``v`` that head one; ``children[v]`` lists the
+    children in ascending index order.
     Use :func:`build_from_parents` instead of constructing directly.
     """
 
@@ -62,7 +62,7 @@ class RootedTree:
     def chain_ends(self) -> np.ndarray:
         """For each vertex, the first vertex at or below it whose outdegree
         is not 1, found by pointer doubling down the only-child chains.
-        Read-only; ``md_report`` and the line counters share it."""
+        Read-only; ``md_report`` and the line flags share it."""
         parents, outdeg = self.parents, self.outdeg
         only = (outdeg[parents] == 1).nonzero()[0]
         only = only[parents[only] >= 0]  # the root's -1 would index vertex n - 1
@@ -77,19 +77,25 @@ class RootedTree:
         return end
 
     @cached_property
+    def line(self) -> np.ndarray:
+        """Is the hanging subtree a line (a single vertex counts)?  It is iff
+        the only-child chain below the vertex ends at a leaf.  Read-only."""
+        line = self.outdeg[self.chain_ends] == 0
+        line.flags.writeable = False
+        return line
+
+    @cached_property
+    def line_kids(self) -> np.ndarray:
+        """For each vertex, how many of its children head a line subtree."""
+        return child_counts(self.parents[self.line], self.n)
+
+    @cached_property
     def children(self) -> tuple[tuple[int, ...], ...]:
         kids: list[list[int]] = [[] for _ in range(self.n)]
         for v, p in enumerate(self.parents.tolist()):
             if p >= 0:
                 kids[p].append(v)
         return tuple(map(tuple, kids))
-
-    @cached_property
-    def order(self) -> tuple[int, ...]:
-        order = [self.root]
-        for v in order:
-            order.extend(self.children[v])
-        return tuple(order)
 
 
 def child_counts(parents: np.ndarray, n: int) -> np.ndarray:
@@ -182,18 +188,16 @@ def build_from_parents(parents) -> RootedTree:
 def is_path(tree: RootedTree) -> bool:
     """True iff the underlying unrooted graph is a path (single vertex counts).
 
-    Every non-root vertex has at most one child, the root at most two.
+    It is iff the root has at most two children and each heads a line.
     """
     top = int(tree.outdeg[tree.root])
-    return top <= 2 and int(np.count_nonzero(tree.outdeg > 1)) == (top == 2)
+    return top <= 2 and int(tree.line_kids[tree.root]) == top
 
 
-def line_flags(tree: RootedTree) -> np.ndarray:
-    """Per-vertex flag: is the hanging subtree a line (single vertex counts).
-
-    It is iff the chain of only children below the vertex ends at a leaf.
-    """
-    return tree.outdeg[tree.chain_ends] == 0
+def pk_flags(tree: RootedTree) -> np.ndarray:
+    """Per-vertex flag, a fresh array: does the vertex have at least two
+    children, at least one of which heads a line subtree?"""
+    return (tree.outdeg >= 2) & (tree.line_kids > 0)
 
 
 def serialize(tree: RootedTree) -> str:

@@ -300,7 +300,10 @@ def criterion_figure1(seed: int = DEFAULT_SEED, workers: int = 1) -> list[CheckR
 
 def _shape_key(tree: RootedTree) -> tuple[int, ...]:
     # Breadth-first outdegree sequence: canonical for ordered shapes.
-    return tuple(len(tree.children[v]) for v in tree.order)
+    kids, order = tree.children, [tree.root]
+    for v in order:
+        order.extend(kids[v])
+    return tuple(len(kids[v]) for v in order)
 
 
 def criterion_embedding_tv(seed: int = DEFAULT_SEED) -> list[CheckResult]:

@@ -223,6 +223,18 @@ class TestExperiment:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_useless_tolerance_refused_before_any_trial(self, capsys, monkeypatch, tol):
+        def fail(config):
+            raise AssertionError("run_experiment ran")
+
+        monkeypatch.setattr("treedim.cli.run_experiment", fail)
+        code, out, err = run(
+            capsys, "experiment", "--model", "uniform", "-n", "20", "--trials", "2",
+            "--seed", "9", "--compare", "--tol", tol,
+        )
+        assert code == 2 and err.startswith("error:") and "tolerance" in err and out == ""
+
     def test_threads_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("MDTREE_THREADS", "2")
         code, _, _ = run(

@@ -17,6 +17,7 @@ from treedim import (
     p_leaf,
     run_experiment,
 )
+from treedim.cli import main
 from treedim.errors import InvalidParams
 from treedim.experiments import default_reference, read_rows, summary_row
 
@@ -70,9 +71,6 @@ class TestReferences:
         config = small_config(model=PAModel(PAParams(1.0, -1)))
         assert default_reference(config) is None
 
-    def test_histogram_has_none(self):
-        assert default_reference(small_config(statistic="fringe_histogram")) is None
-
 
 class TestRun:
     def test_reproducible(self):
@@ -97,11 +95,49 @@ class TestRun:
         s = run_experiment(config)
         assert s.model == "gw" and s.rho is None
 
-    def test_histogram_statistic(self):
-        config = small_config(statistic="fringe_histogram", trials=10)
-        s = run_experiment(config)
-        assert sum(s.histogram.values()) == 10 * 40
-        assert s.mean == pytest.approx(s.histogram.get(1, 0) / (10 * 40), abs=0.2)
+    def test_histogram_statistic(self, capsys):
+        # Refused by the library and at the CLI; its scalar, the size-1
+        # fraction, is pl_fraction.
+        with pytest.raises(InvalidParams):
+            small_config(statistic="fringe_histogram")
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "experiment", "--model", "uniform", "-n", "20", "--trials", "2",
+                "--seed", "1", "--stat", "fringe_histogram",
+            ])
+        assert exc.value.code == 2 and "fringe_histogram" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "workers, trials, cores, pool",
+        [
+            (100_000, 1, 8, None),
+            (100_000, 3, 8, 3),
+            (100_000, 24, 2, 2),
+            (5, 24, None, None),
+        ],
+    )
+    def test_pool_is_bounded_by_trials_and_cores(self, monkeypatch, workers, trials, cores, pool):
+        # An in-process stand-in for the executor: no process is started.
+        sizes = []
+
+        class Inline:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr("treedim.experiments.ProcessPoolExecutor", Inline)
+        monkeypatch.setattr("treedim.experiments.os.cpu_count", lambda: cores)
+        summary = run_experiment(small_config(trials=trials, workers=workers))
+        assert sizes == ([] if pool is None else [pool])
+        assert summary == run_experiment(small_config(trials=trials))
 
     def test_convergence_tightens_with_n(self):
         # coarse two-point check that larger trees sit closer to the limit:
@@ -141,6 +177,12 @@ class TestCompare:
         s = run_experiment(small_config())
         report = compare_to_constant(s, c_gw(OffspringPmf.poisson(1.0)), 0.5)
         assert report.within_tolerance
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_useless_tolerance_refused(self, tol):
+        s = run_experiment(small_config(trials=2))
+        with pytest.raises(InvalidParams):
+            compare_to_constant(s, 0.10969, tol)
 
 
 class TestExport:

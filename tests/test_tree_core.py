@@ -22,6 +22,7 @@ from treedim.errors import (
     TreeStructureError,
 )
 from treedim.tree import _parse_exact
+from treedim.verify import _shape_key
 
 
 def chain(n):
@@ -110,8 +111,10 @@ class TestBuild:
         assert str(err.value) == f"vertex {stranded[0]} cannot reach the root (parent cycle)"
 
     def test_order_is_breadth_first(self):
+        # The shape key lists outdegrees breadth-first: vertices 3, 0, 1,
+        # 2, 5, 4 (depth-first would give 2, 2, 0, 0, 1, 0).
         t = build_from_parents([3, 3, 0, None, 1, 0])
-        assert t.order == (3, 0, 1, 2, 5, 4)
+        assert _shape_key(t) == (2, 2, 1, 0, 0, 0)
 
 
 def assert_same_build(arg, reference_input):
@@ -128,7 +131,7 @@ def assert_same_build(arg, reference_input):
     t = build_from_parents(arg)
     assert [None if p < 0 else p for p in t.parents.tolist()] == list(expected.parents)
     assert t.root == expected.root
-    assert t.children == expected.children and t.order == expected.order
+    assert t.children == expected.children
     assert t.outdeg.tolist() == [len(kids) for kids in expected.children]
 
 
