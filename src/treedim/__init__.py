@@ -59,11 +59,9 @@ from .generators import (
 )
 from .metric_dimension import (
     MDReport,
-    ResolvingWitness,
     brute_force_md,
     is_resolving,
     md_report,
-    resolving_witness,
 )
 from .quadrature import QuadratureSpec, adaptive_simpson
 from .tree import (

@@ -38,16 +38,17 @@ from .fringe import (
 from .generators import FixedSize, OffspringPmf, PAParams, RngSpec, simulate_cmj
 from .metric_dimension import BRUTE_FORCE_CAP, brute_force_md, md_report
 from .quadrature import QuadratureSpec
-from .tree import read_tree, serialize
+from .tree import read_tree, serialize, write_tree
 from .verify import DEFAULT_SEED, format_table, run_suite
 
 
 def _threads(value: int | None) -> int:
-    if value is not None:
-        return value
-    raw = os.environ.get("MDTREE_THREADS", "1")
+    if value is None:
+        source, raw = "MDTREE_THREADS", os.environ.get("MDTREE_THREADS", "1")
+    else:
+        source, raw = "--threads", str(value)
     if not raw.strip().isdecimal() or int(raw) < 1:
-        raise TreedimError(f"MDTREE_THREADS must be a positive integer, got {raw!r}")
+        raise TreedimError(f"{source} must be a positive integer, got {raw!r}")
     return int(raw)
 
 
@@ -82,17 +83,14 @@ def _refuse_existing(out: str | None, force: bool) -> None:
         raise TreedimError(f"{out} exists; pass --force to overwrite")
 
 
-def _write_or_print(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        return
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _require(args, *flags: str) -> None:
+    if any(getattr(args, flag) is None for flag in flags):
+        needs = " and ".join(f"--{flag}" for flag in flags)
+        raise TreedimError(f"model {args.model!r} needs {needs}")
 
 
 def _pa_params(args) -> PAParams:
-    if args.rho is None or args.chi is None:
-        raise TreedimError(f"model {args.model!r} needs --rho and --chi")
+    _require(args, "rho", "chi")
     return PAParams(args.rho, args.chi)
 
 
@@ -111,7 +109,10 @@ def _cmd_generate(args) -> int:
         tree = simulate_cmj(_pa_params(args), FixedSize(args.n), rng).tree
     else:
         tree = _model(args).sample(args.n, rng)
-    _write_or_print(serialize(tree), args.out)
+    if args.out is None:
+        sys.stdout.write(serialize(tree))
+    else:
+        write_tree(tree, args.out)
     return 0
 
 
@@ -163,9 +164,7 @@ def _cmd_constant(args) -> int:
         rel_tol=args.tol, abs_tol=args.tol * 1e-2
     )
     evaluate, flags = _CONSTANT_MODELS[args.model]
-    if any(getattr(args, flag) is None for flag in flags):
-        needs = " and ".join(f"--{flag}" for flag in flags)
-        raise TreedimError(f"model {args.model!r} needs {needs}")
+    _require(args, *flags)
     result = evaluate(args, spec)
     print(f"value     {result.value:.12g}")
     print(f"abs_error {result.abs_error_estimate:.3g}")

@@ -157,8 +157,6 @@ def p_leaf(rho: float, chi: int) -> float:
 def gw_line_prob(pmf: OffspringPmf) -> float:
     """Probability that an unconditioned branching subtree is a line."""
     p0, p1 = pmf.p0, pmf.p1
-    if p0 <= 0.0:
-        raise InvalidPmf("line probability needs p_0 > 0")
     if p1 >= 1.0:
         raise InvalidPmf("line probability needs p_1 < 1")
     # A subtree is a line iff it dies out (p0) or continues as a line (p1):
@@ -177,15 +175,10 @@ def c_gw(pmf: OffspringPmf) -> ConstantResult:
     """Limit of (metric dimension / size) for critical conditioned
     branching trees with offspring distribution ``pmf``.
 
-    Closed form: p0 - 1 + G(1 - q) + p1 * q with q = p0 / (1 - p1),
-    G the offspring generating function.
+    Closed form: the single-vertex probability p0 minus :func:`gw_pk_prob`.
     """
     pmf.require_critical()
-    p0, p1 = pmf.p0, pmf.p1
-    if p1 >= 1.0:
-        raise InvalidPmf("c_gw needs p_1 < 1")
-    q = p0 / (1.0 - p1)
-    value = p0 - 1.0 + pmf.pgf(1.0 - q) + p1 * q
+    value = pmf.p0 - gw_pk_prob(pmf)
     return ConstantResult(value=value, abs_error_estimate=1e-14, method="closed_form")
 
 
@@ -347,39 +340,26 @@ def h_tail(lam: float, nu: float, t: float) -> float:
     return math.exp(-lam * t - (lam / nu) * math.expm1(-nu * t))
 
 
-def root_degree_pgf(rho: float, chi: int, x: float, z: float) -> float:
-    """Generating function of the root's children count at horizon x.
-
-    Negative binomial for chi = +1, Poisson for chi = 0 (rho = 1),
-    binomial for chi = -1.
-    """
-    _check_evaluable(rho, chi)
-    if chi == 0:
-        return math.exp(-x * (1.0 - z))
-    ecx = math.exp(chi * x)
-    return (ecx + (1.0 - ecx) * z) ** (-rho / chi)
-
-
-def root_degree_one_prob(rho: float, chi: int, x: float) -> float:
-    """P(root has exactly one child at horizon x)."""
-    _check_evaluable(rho, chi)
-    if chi == 0:
-        return x * math.exp(-x)
-    return -(rho / chi) * (-math.expm1(chi * x)) * math.exp(-x * (rho + chi))
-
-
 def pk_given_x(rho: float, chi: int, x: float) -> float:
     """P(the tree at horizon x has >= 2 root children with a line subtree).
 
-    Assembled as 1 - G(1 - q) - q P(one child), with G the root-degree
-    generating function and q the per-child line probability; valid because
-    the children's subtrees evolve independently given the horizon.
+    Assembled as 1 - G(1 - q) - q P(one child), with q the per-child line
+    probability and G the generating function of the root's children count:
+    negative binomial for chi = +1, Poisson for chi = 0 (rho = 1), binomial
+    for chi = -1.  Valid because the children's subtrees evolve
+    independently given the horizon.
     """
     if not x > 0:
         raise DomainError(f"pk_given_x requires x > 0, got {x}")
     q = q_line_prob(rho, chi, x)
-    g = root_degree_pgf(rho, chi, x, 1.0 - q)
-    p1 = root_degree_one_prob(rho, chi, x)
+    z = 1.0 - q
+    if chi == 0:
+        g = math.exp(-x * (1.0 - z))
+        p1 = x * math.exp(-x)
+    else:
+        ecx = math.exp(chi * x)
+        g = (ecx + (1.0 - ecx) * z) ** (-rho / chi)
+        p1 = -(rho / chi) * (-math.expm1(chi * x)) * math.exp(-x * (rho + chi))
     return 1.0 - g - q * p1
 
 

@@ -20,14 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IsPath, VertexOutOfRange
+from .errors import IsPath
 from .metric_dimension import md_report
-from .tree import RootedTree, pk_flags
-
-
-def _check_vertex(tree: RootedTree, v: int) -> None:
-    if not 0 <= v < tree.n:
-        raise VertexOutOfRange(f"vertex {v} outside 0..{tree.n - 1}")
+from .tree import RootedTree, check_vertex, pk_flags
 
 
 def _sizes(tree: RootedTree) -> np.ndarray:
@@ -58,19 +53,19 @@ def subtree_sizes(tree: RootedTree) -> list[int]:
 
 def is_line(tree: RootedTree, v: int) -> bool:
     """True iff every vertex in the subtree below ``v`` has at most one child."""
-    _check_vertex(tree, v)
+    check_vertex(tree, v)
     return bool(tree.line[v])
 
 
 def is_pl(tree: RootedTree, v: int) -> bool:
     """True iff the subtree below ``v`` is a single vertex."""
-    _check_vertex(tree, v)
+    check_vertex(tree, v)
     return int(tree.outdeg[v]) == 0
 
 
 def is_pk(tree: RootedTree, v: int) -> bool:
     """True iff ``v`` has >= 2 children and some child's subtree is a line."""
-    _check_vertex(tree, v)
+    check_vertex(tree, v)
     return bool(tree.outdeg[v] >= 2 and tree.line_kids[v] > 0)
 
 
@@ -94,14 +89,10 @@ def count_subtree_property(tree: RootedTree, predicate) -> int:
 def fringe_size_counts(tree: RootedTree) -> dict[int, int]:
     """Histogram ``size -> count`` of hanging-subtree sizes; counts sum to n.
 
-    Sizes are listed in the order of the first vertex that has them.
+    Sizes are listed in ascending order.
     """
-    sizes = _sizes(tree)
-    counts = np.bincount(sizes)
-    first = np.full(counts.size, tree.n)
-    np.minimum.at(first, sizes, np.arange(tree.n))
+    counts = np.bincount(_sizes(tree))
     keys = counts.nonzero()[0]
-    keys = keys[np.argsort(first[keys])]
     return dict(zip(keys.tolist(), counts[keys].tolist()))
 
 

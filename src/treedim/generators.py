@@ -249,12 +249,7 @@ def sample_conditioned_gw(
     if n < 1:
         raise InvalidParams(f"tree size must be >= 1, got {n}")
     pmf.require_critical()
-    positive = [k for k in pmf.support() if k > 0]
-    if not positive:
-        if n == 1:
-            return build_from_parents([None])
-        raise UnreachableSize("offspring support is {0}; only size 1 is reachable")
-    g = math.gcd(*positive)
+    g = math.gcd(*pmf.support())
     if (n - 1) % g != 0:
         raise UnreachableSize(
             f"no length-{n} offspring sequence sums to {n - 1}: support lattice "

@@ -19,8 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import TooLarge, VertexOutOfRange
-from .tree import RootedTree, is_path, pk_flags
+from .errors import TooLarge
+from .tree import RootedTree, check_vertex, is_path, pk_flags
 
 BRUTE_FORCE_CAP = 16
 _SCAN_ROWS = 4096  # subsets tested at once: about 1 MB of scratch at n = 16
@@ -34,27 +34,6 @@ class MDReport:
     exterior_major: tuple[int, ...]
     beta: int
     is_path: bool
-
-
-@dataclass(frozen=True)
-class ResolvingWitness:
-    """A candidate landmark set together with its distance table.
-
-    The set resolves the tree iff the columns of ``distance_table``
-    (one per vertex) are pairwise distinct.
-    """
-
-    vertices: tuple[int, ...]
-    distance_table: tuple[tuple[int, ...], ...]
-    n: int
-
-    @property
-    def resolves(self) -> bool:
-        if not self.distance_table:
-            # An empty landmark set distinguishes nothing: only n = 1 passes.
-            return self.n <= 1
-        columns = set(zip(*self.distance_table))
-        return len(columns) == self.n
 
 
 def md_report(tree: RootedTree) -> MDReport:
@@ -120,21 +99,16 @@ def _distances(tree: RootedTree, sources) -> list[int]:
     return rows
 
 
-def resolving_witness(tree: RootedTree, candidate) -> ResolvingWitness:
-    """Build the distance table of a candidate landmark set."""
-    n = tree.n
-    verts = tuple(sorted(set(int(v) for v in candidate)))
-    for v in verts:
-        if not 0 <= v < n:
-            raise VertexOutOfRange(f"vertex {v} outside 0..{n - 1}")
-    flat = _distances(tree, verts)
-    table = tuple(tuple(flat[i : i + n]) for i in range(0, len(flat), n))
-    return ResolvingWitness(vertices=verts, distance_table=table, n=n)
-
-
 def is_resolving(tree: RootedTree, candidate) -> bool:
-    """True iff every vertex pair differs in distance to some candidate vertex."""
-    return resolving_witness(tree, candidate).resolves
+    """True iff every vertex pair differs in distance to some candidate
+    vertex, i.e. the n columns of the candidates' distance rows are
+    pairwise distinct.  An empty set resolves only a single vertex."""
+    n = tree.n
+    verts = sorted({int(v) for v in candidate})
+    for v in verts:
+        check_vertex(tree, v)
+    flat = _distances(tree, verts)
+    return len({tuple(flat[u::n]) for u in range(n)}) == n
 
 
 @lru_cache(maxsize=None)
@@ -145,23 +119,17 @@ def _search_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     u < v (column), the places ``w * n + u`` and ``w * n + v`` in the flat
     distance list.
 
-    The masks come one size k = 1, ..., n after another, each size in
-    ``itertools.combinations`` order: every (k-1)-subset in that order,
-    extended by each vertex above its last in turn.
+    The masks are sorted by size and then by decreasing value (one
+    ``np.lexsort``), which is ``itertools.combinations`` order for each
+    size k = 1, ..., n in turn.
     """
     dtype = np.min_scalar_type((1 << n) - 1)
     bits = np.array([1 << (n - 1 - v) for v in range(n)], dtype=dtype)
     rows = np.arange(0, n * n, n)[:, None]
     u, v = np.triu_indices(n, 1)
-    sizes = []
-    masks, last = np.zeros(1, dtype=dtype), np.array([-1])
-    for _ in range(n):
-        grow = n - 1 - last
-        first = np.repeat(np.cumsum(grow) - grow, grow)
-        last = np.repeat(last + 1, grow) + np.arange(len(first)) - first
-        masks = np.repeat(masks, grow) | bits[last]
-        sizes.append(masks)
-    arrays = (np.concatenate(sizes), bits, rows + u, rows + v)
+    masks = np.arange(1, 1 << n, dtype=dtype)
+    masks = masks[np.lexsort((~masks, ((masks[:, None] & bits) > 0).sum(1)))]
+    arrays = (masks, bits, rows + u, rows + v)
     for array in arrays:
         array.flags.writeable = False
     return arrays

@@ -21,6 +21,7 @@ from .errors import (
     MultipleRoots,
     NoRoot,
     TreeFormatError,
+    VertexOutOfRange,
 )
 
 ROOT_TOKEN = "R"
@@ -183,6 +184,11 @@ def build_from_parents(parents) -> RootedTree:
     raise CycleDetected(
         f"vertex {start} cannot reach the root (parent cycle)", vertex=start
     )
+
+
+def check_vertex(tree: RootedTree, v: int) -> None:
+    if not 0 <= v < tree.n:
+        raise VertexOutOfRange(f"vertex {v} outside 0..{tree.n - 1}")
 
 
 def is_path(tree: RootedTree) -> bool:

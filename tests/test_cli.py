@@ -252,6 +252,25 @@ class TestExperiment:
         )
         assert code == 2 and "MDTREE_THREADS" in err and repr(value) in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "all", "--threads", "0"),
+            ("experiment", "--model", "uniform", "-n", "20", "--trials", "2",
+             "--seed", "9", "--threads", "-3"),
+        ],
+    )
+    def test_threads_flag_rejects_non_positive(self, capsys, monkeypatch, argv):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr("treedim.cli.run_suite", fail)
+        monkeypatch.setattr("treedim.cli.run_experiment", fail)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --threads must be a positive integer")
+        assert repr(argv[-1]) in err
+
 
 class TestVerify:
     def test_constants_suite_passes(self, capsys):

@@ -137,6 +137,14 @@ class TestGWConstant:
         with pytest.raises(InvalidPmf):
             c_gw(pmf)
 
+    def test_p1_one_rejected(self):
+        # Within the pmf's sum and mean tolerances, yet every vertex has one
+        # child: the line probability p0 / (1 - p1) is undefined.
+        pmf = OffspringPmf((1e-13, 1.0))
+        pmf.require_critical()
+        with pytest.raises(InvalidPmf, match="p_1 < 1"):
+            c_gw(pmf)
+
     def test_pk_probability(self):
         pmf = OffspringPmf.poisson(1.0)
         q = 1 / (math.e - 1)

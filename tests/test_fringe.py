@@ -106,6 +106,14 @@ class TestHistogram:
         t = sample_uniform_tree(200, rng)
         assert sum(fringe_size_counts(t).values()) == 200
 
+    def test_keys_ascend(self):
+        # Vertex 0 holds the largest size here, so keys listed by first
+        # vertex would start with 4.
+        assert list(fringe_size_counts(star(3))) == [1, 4]
+        t = sample_uniform_tree(300, RngSpec(80).stream(0))  # shuffled labels
+        keys = list(fringe_size_counts(t))
+        assert len(keys) > 3 and all(a < b for a, b in zip(keys, keys[1:]))
+
 
 class TestEpsilonAudit:
     def test_star_center(self):
@@ -170,8 +178,8 @@ class TestTupleCoreOracle:
         assert count_subtree_property(t, is_pk) == sum(pk)
         # The predicates above read arrays only, never the children tuples.
         assert "children" not in t.__dict__
-        # Key order too: the histogram lists sizes by first vertex.
-        assert list(fringe_size_counts(t).items()) == list(Counter(sizes).items())
+        # Key order too: the histogram lists sizes in ascending order.
+        assert list(fringe_size_counts(t).items()) == sorted(Counter(sizes).items())
 
 
 def height(ref) -> int:
@@ -192,12 +200,12 @@ def assert_sizes_match(parents):
     t = build_from_parents(parents)
     sizes = tuple_core.subtree_sizes(tuple_core.build_from_parents(parents))
     assert subtree_sizes(t) == sizes
-    assert list(fringe_size_counts(t).items()) == list(Counter(sizes).items())
+    assert list(fringe_size_counts(t).items()) == sorted(Counter(sizes).items())
 
 
 class TestLevelPass:
-    """Sizes and the histogram's key order on wide and tall trees, on
-    heights at the edges of the doubling rounds, and at the edges of n.
+    """Sizes and the histogram's ascending key order on wide and tall trees,
+    on heights at the edges of the doubling rounds, and at the edges of n.
     (Named for the level-by-level pass it was written for; the name keeps
     the test ids stable.)"""
 

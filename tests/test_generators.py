@@ -265,6 +265,12 @@ class TestConditionedGW:
         with pytest.raises(InvalidParams):
             sample_conditioned_gw(self.pmf, 0, RngSpec(7).stream(0))
 
+    def test_support_zero_refused_as_subcritical(self):
+        # Offspring support {0} has mean 0, so the criticality check refuses
+        # it before the lattice span (gcd of the support) is taken.
+        with pytest.raises(InvalidPmf, match="not 1"):
+            sample_conditioned_gw(OffspringPmf((1.0,)), 1, RngSpec(7).stream(0))
+
 
 class TestUniformTree:
     def test_small_sizes(self):

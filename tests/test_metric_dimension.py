@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 import tuple_core
@@ -11,7 +11,6 @@ from treedim import (
     is_resolving,
     md_report,
     metric_dimension,
-    resolving_witness,
     sample_uniform_tree,
 )
 from treedim.errors import TooLarge, VertexOutOfRange
@@ -90,12 +89,19 @@ class TestResolving:
         with pytest.raises(VertexOutOfRange):
             is_resolving(chain(3), {7})
 
-    def test_witness_table_shape(self):
-        witness = resolving_witness(chain(3), {0})
-        assert witness.distance_table == ((0, 1, 2),)
-
 
 class TestBruteForce:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_subset_table_is_combinations_order(self, n):
+        table = metric_dimension._search_tables(n)[0]
+        expected = [
+            sum(1 << (n - 1 - v) for v in subset)
+            for k in range(1, n + 1)
+            for subset in combinations(range(n), k)
+        ]
+        assert table.tolist() == expected
+        assert not table.flags.writeable
+
     def test_single_vertex(self):
         assert brute_force_md(build_from_parents([None])) == (0, ())
 
