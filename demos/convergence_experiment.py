@@ -4,6 +4,7 @@ Runs the Monte Carlo harness at growing tree sizes, compares each mean
 against the limiting constant, and exports the table as CSV.
 """
 
+import csv
 import os
 import tempfile
 
@@ -15,7 +16,6 @@ from treedim import (
     export,
     run_experiment,
 )
-from treedim.experiments import read_rows
 
 model = PAModel(PAParams(2.0, -1))  # binary search trees
 summaries = []
@@ -40,7 +40,9 @@ print(
 )
 
 path = os.path.join(tempfile.mkdtemp(), "bst_convergence.csv")
-export(summaries, "csv", path)
+export(summaries, path)
 print(f"\nexported {len(summaries)} rows to {path}:")
-for row in read_rows(path):
-    print(f"  n={row['n']}: mean={row['mean']:.5f}, constant={row['constant']:.5f}")
+with open(path, encoding="utf-8", newline="") as fh:
+    for row in csv.DictReader(fh):
+        mean, constant = float(row["mean"]), float(row["constant"])
+        print(f"  n={row['n']}: mean={mean:.5f}, constant={constant:.5f}")

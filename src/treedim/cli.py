@@ -25,6 +25,7 @@ from .experiments import (
     UniformModel,
     check_tolerance,
     compare_to_constant,
+    default_reference,
     export,
     run_experiment,
 )
@@ -79,6 +80,8 @@ def _load_pmf(path: str | None) -> OffspringPmf:
 
 def _refuse_existing(out: str | None, force: bool) -> None:
     """Called before any work, so a refused ``--out`` costs nothing."""
+    if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
+        raise TreedimError(f"{out}: no such directory")
     if out is not None and os.path.exists(out) and not force:
         raise TreedimError(f"{out} exists; pass --force to overwrite")
 
@@ -184,10 +187,11 @@ def _cmd_experiment(args) -> int:
         statistic=args.stat,
         workers=_threads(args.threads),
     )
+    if args.compare and default_reference(config) is None:
+        raise TreedimError("no reference constant exists for this configuration")
     summary = run_experiment(config)
     if args.out:
-        fmt = "json" if args.out.endswith(".json") else "csv"
-        export([summary], fmt, args.out, overwrite=args.force)
+        export([summary], args.out, overwrite=args.force)
     print(
         f"{summary.model} n={summary.n} trials={summary.trials} "
         f"mean={summary.mean:.6g} stderr={summary.stderr:.3g} "
@@ -196,8 +200,6 @@ def _cmd_experiment(args) -> int:
     if summary.constant is not None:
         print(f"constant={summary.constant:.6g} abs_diff={summary.abs_diff:.3g}")
     if args.compare:
-        if summary.constant is None:
-            raise TreedimError("no reference constant exists for this configuration")
         report = compare_to_constant(summary, summary.constant, args.tol)
         print(
             f"compare: |diff| {report.abs_diff:.3g} vs tol {report.tolerance:g} "
@@ -292,10 +294,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TreedimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (TreedimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -271,7 +271,7 @@ def check_tolerance(tolerance: float) -> None:
 
 
 def compare_to_constant(
-    summary: ExperimentSummary, constant, tolerance: float
+    summary: ExperimentSummary, constant: float, tolerance: float
 ) -> ComparisonReport:
     """Check the experiment mean against a limiting constant.
 
@@ -279,11 +279,10 @@ def compare_to_constant(
     three-standard-error band around the Monte Carlo mean.
     """
     check_tolerance(tolerance)
-    value = getattr(constant, "value", constant)
-    diff = abs(summary.mean - value)
+    diff = abs(summary.mean - constant)
     band = 3.0 * summary.stderr
     return ComparisonReport(
-        constant=value,
+        constant=constant,
         tolerance=tolerance,
         abs_diff=diff,
         within_tolerance=diff <= tolerance,
@@ -300,57 +299,23 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def summary_row(summary: ExperimentSummary) -> dict:
-    return {column: getattr(summary, column) for column in CSV_COLUMNS}
-
-
-def export(summaries, fmt: str, path, overwrite: bool = False) -> None:
-    """Write experiment summaries to ``path`` as CSV or JSON.
+def export(summaries: list[ExperimentSummary], path, overwrite: bool = False) -> None:
+    """Write experiment summaries to ``path``: JSON when the path ends in
+    ``.json``, CSV otherwise.
 
     CSV columns are exactly ``model,rho,chi,n,trials,seed,mean,stddev,
     stderr,ci_lo,ci_hi,constant,abs_diff``, one row per experiment; JSON
     mirrors the same fields.  Existing files are only replaced when
-    ``overwrite`` is set.
+    ``overwrite`` is set; otherwise the open itself refuses them with
+    :class:`FileExistsError`.
     """
-    if isinstance(summaries, ExperimentSummary):
-        summaries = [summaries]
-    if fmt not in ("csv", "json"):
-        raise InvalidParams(f"format must be csv or json, got {fmt!r}")
-    if os.path.exists(path) and not overwrite:
-        raise FileExistsError(f"{path} exists; pass overwrite to replace it")
-    rows = [summary_row(s) for s in summaries]
-    if fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+    rows = [{column: getattr(s, column) for column in CSV_COLUMNS} for s in summaries]
+    with open(path, "w" if overwrite else "x", encoding="utf-8", newline="") as fh:
+        if str(path).endswith(".json"):
+            json.dump(rows, fh, indent=1)
+            fh.write("\n")
+        else:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             for row in rows:
                 writer.writerow([_format_cell(row[c]) for c in CSV_COLUMNS])
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=1)
-            fh.write("\n")
-
-
-def read_rows(path, fmt: str = "csv") -> list[dict]:
-    """Parse a file written by :func:`export` back into row dictionaries."""
-    if fmt == "csv":
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            rows = []
-            for raw in reader:
-                row = {}
-                for key, text in raw.items():
-                    if text == "" or text is None:
-                        row[key] = None
-                    elif key in ("model",):
-                        row[key] = text
-                    elif key in ("n", "trials", "seed", "chi"):
-                        row[key] = int(text)
-                    else:
-                        row[key] = float(text)
-                rows.append(row)
-            return rows
-    if fmt == "json":
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    raise InvalidParams(f"format must be csv or json, got {fmt!r}")

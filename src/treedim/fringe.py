@@ -25,7 +25,7 @@ from .metric_dimension import md_report
 from .tree import RootedTree, check_vertex, pk_flags
 
 
-def _sizes(tree: RootedTree) -> np.ndarray:
+def subtree_sizes(tree: RootedTree) -> np.ndarray:
     """Hanging-subtree sizes by pointer doubling over the parent array.
 
     After round k, ``size[v]`` counts the vertices u that have v among the
@@ -43,12 +43,6 @@ def _sizes(tree: RootedTree) -> np.ndarray:
         size += np.bincount(jump, weights=size, minlength=n + 1)
         jump = jump[jump]
     return size[:n].astype(np.int64)
-
-
-def subtree_sizes(tree: RootedTree) -> list[int]:
-    """Size of the hanging subtree of each vertex, by pointer doubling:
-    ``height.bit_length()`` rounds of one ``np.bincount`` each."""
-    return _sizes(tree).tolist()
 
 
 def is_line(tree: RootedTree, v: int) -> bool:
@@ -91,7 +85,7 @@ def fringe_size_counts(tree: RootedTree) -> dict[int, int]:
 
     Sizes are listed in ascending order.
     """
-    counts = np.bincount(_sizes(tree))
+    counts = np.bincount(subtree_sizes(tree))
     keys = counts.nonzero()[0]
     return dict(zip(keys.tolist(), counts[keys].tolist()))
 

@@ -113,10 +113,6 @@ class OffspringPmf:
     def mean(self) -> float:
         return math.fsum(k * p for k, p in enumerate(self.probs))
 
-    @property
-    def second_moment(self) -> float:
-        return math.fsum(k * k * p for k, p in enumerate(self.probs))
-
     def pgf(self, x: float) -> float:
         acc = 0.0
         for p in reversed(self.probs):

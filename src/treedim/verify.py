@@ -75,17 +75,8 @@ class CheckResult:
     observed: str
 
 
-def _check(name: str, passed: bool, expected, observed) -> CheckResult:
-    return CheckResult(
-        name=name,
-        passed=bool(passed),
-        expected=str(expected),
-        observed=str(observed),
-    )
-
-
 def _close(name, value, target, tol) -> CheckResult:
-    return _check(
+    return CheckResult(
         name,
         abs(value - target) <= tol,
         f"{target:.10g} +- {tol:.2g}",
@@ -97,12 +88,17 @@ def _freq_check(name, hits, trials, p) -> CheckResult:
     """Empirical frequency against probability p, three-standard-error band."""
     phat = hits / trials
     se = math.sqrt(max(p * (1.0 - p), 1e-300) / trials)
-    return _check(
+    return CheckResult(
         name,
         abs(phat - p) <= 3.0 * se,
         f"{p:.6f} +- {3 * se:.6f}",
         f"{phat:.6f} ({trials} trials)",
     )
+
+
+def _event_check(name, event, rng, p, trials=100_000) -> CheckResult:
+    """Frequency of ``event(rng)`` over ``trials`` draws against p."""
+    return _freq_check(name, sum(1 for _ in range(trials) if event(rng)), trials, p)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +121,7 @@ def criterion_closed_forms() -> list[CheckResult]:
     ]
     elapsed = time.perf_counter() - t0
     checks.append(
-        _check("closed-form runtime < 1 s", elapsed < 1.0, "< 1 s", f"{elapsed:.3f} s")
+        CheckResult("closed-form runtime < 1 s", elapsed < 1.0, "< 1 s", f"{elapsed:.3f} s")
     )
     return checks
 
@@ -138,7 +134,7 @@ def criterion_constants_grid() -> list[CheckResult]:
         checks.append(_close(f"constant grid chi/rho = {label}", value, target, 5e-5))
     elapsed = time.perf_counter() - t0
     checks.append(
-        _check("constant grid runtime < 10 s", elapsed < 10.0, "< 10 s", f"{elapsed:.3f} s")
+        CheckResult("constant grid runtime < 10 s", elapsed < 10.0, "< 10 s", f"{elapsed:.3f} s")
     )
     return checks
 
@@ -148,7 +144,7 @@ def criterion_internal_consistency() -> list[CheckResult]:
     for m in (2, 3, 4, 5):
         diff = abs(c_general(float(m), -1).value - c_mary(m).value)
         checks.append(
-            _check(
+            CheckResult(
                 f"quadrature vs gamma-series at m = {m}",
                 diff <= 1e-9,
                 "agree to 1e-9",
@@ -157,7 +153,7 @@ def criterion_internal_consistency() -> list[CheckResult]:
         )
     diff = abs(c_general(1.0, 1).value - c_from_pk_integral(1.0, 1)[0])
     checks.append(
-        _check("quadrature vs pk-integral at rho = 1", diff <= 1e-9, "agree to 1e-9", f"diff {diff:.3g}")
+        CheckResult("quadrature vs pk-integral at rho = 1", diff <= 1e-9, "agree to 1e-9", f"diff {diff:.3g}")
     )
     return checks
 
@@ -192,13 +188,13 @@ def criterion_slater_oracle(seed: int = DEFAULT_SEED) -> list[CheckResult]:
             mismatches += 1
     elapsed = time.perf_counter() - t0
     return [
-        _check(
+        CheckResult(
             "linear formula = brute force on exhaustive + random trees",
             mismatches == 0,
             f"0 mismatches over {total} trees",
             f"{mismatches} mismatches",
         ),
-        _check("oracle sweep runtime < 60 s", elapsed < 60.0, "< 60 s", f"{elapsed:.1f} s"),
+        CheckResult("oracle sweep runtime < 60 s", elapsed < 60.0, "< 60 s", f"{elapsed:.1f} s"),
     ]
 
 
@@ -242,7 +238,7 @@ def criterion_epsilon_audit(seed: int = DEFAULT_SEED) -> list[CheckResult]:
                 audited += 1
     distribution = {k: epsilons[k] for k in sorted(epsilons)}
     return [
-        _check(
+        CheckResult(
             "decomposition drift |beta - (n_pl - n_pk)| <= 2",
             worst <= 2,
             "max |epsilon| <= 2",
@@ -279,7 +275,7 @@ def criterion_figure1(seed: int = DEFAULT_SEED, workers: int = 1) -> list[CheckR
         diff = summary.abs_diff
         band = 3.0 * summary.stderr
         checks.append(
-            _check(
+            CheckResult(
                 f"mean beta/n vs constant: {label}",
                 diff <= 0.01 and diff <= band,
                 f"{summary.constant:.5f} +- min(0.01, {band:.5f})",
@@ -288,7 +284,7 @@ def criterion_figure1(seed: int = DEFAULT_SEED, workers: int = 1) -> list[CheckR
         )
     elapsed = time.perf_counter() - t0
     checks.append(
-        _check("simulation runtime < 5 min", elapsed < 300.0, "< 300 s", f"{elapsed:.1f} s")
+        CheckResult("simulation runtime < 5 min", elapsed < 300.0, "< 300 s", f"{elapsed:.1f} s")
     )
     return checks
 
@@ -322,7 +318,7 @@ def criterion_embedding_tv(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         keys = set(cmj_counts) | set(pa_counts)
         tv = 0.5 * sum(abs(cmj_counts[k] - pa_counts[k]) / samples for k in keys)
         checks.append(
-            _check(
+            CheckResult(
                 f"size-4 shape TV distance, (rho, chi) = ({rho:g}, {chi})",
                 tv <= 0.01,
                 "<= 0.01",
@@ -338,17 +334,14 @@ def criterion_embedding_tv(seed: int = DEFAULT_SEED) -> list[CheckResult]:
 
 
 def criterion_h_tail(seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    samples = 100_000
     spec = RngSpec(seed)
     checks = []
     for idx, (lam, nu, t) in enumerate(((1.0, 1.0, 1.0), (1.0, 2.0, 2.0), (2.0, 1.0, 0.5))):
-        rng = spec.stream(3_000 + idx)
-        hits = sum(1 for _ in range(samples) if sample_H(lam, nu, rng) > t)
         checks.append(
-            _freq_check(
+            _event_check(
                 f"clock tail P(H > {t:g}) at rates ({lam:g}, {nu:g})",
-                hits,
-                samples,
+                lambda rng: sample_H(lam, nu, rng) > t,
+                spec.stream(3_000 + idx),
                 h_tail(lam, nu, t),
             )
         )
@@ -371,21 +364,17 @@ def criterion_fringe_laws(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         checks.append(
             _freq_check(f"binary search tree fringe fraction, size {k}", hist.get(k, 0), n, p)
         )
-    trials = 100_000
     for idx, (rho, chi) in enumerate(EMBEDDING_PARAMS):
         params = PAParams(rho, chi)
-        rng = spec.stream(4_100 + idx)
         # A size cap cannot change whether the stopped tree is a single
         # vertex, so the heavy-tailed runs can be frozen early.
         stop = ExpDoomsday(max_vertices=10_000)
-        hits = sum(1 for _ in range(trials) if simulate_cmj(params, stop, rng).tree.n == 1)
-        p = (rho + chi) / (2 * rho + chi)
         checks.append(
-            _freq_check(
+            _event_check(
                 f"stopped-tree single-vertex fraction, (rho, chi) = ({rho:g}, {chi})",
-                hits,
-                trials,
-                p,
+                lambda rng: simulate_cmj(params, stop, rng).tree.n == 1,
+                spec.stream(4_100 + idx),
+                (rho + chi) / (2 * rho + chi),
             )
         )
     return checks
@@ -403,11 +392,6 @@ def _sample_child_birth(rho: float, chi: int, x: float, rng) -> float:
     if chi == 0:
         return u * x
     return math.log1p(u * math.expm1(chi * x)) / chi
-
-
-def _simulate_line_survival(rho: float, chi: int, x: float, rng) -> bool:
-    tau = _sample_child_birth(rho, chi, x, rng)
-    return tau + sample_H(rho, rho + chi, rng) > x
 
 
 def _simulate_branch_event(rho: float, chi: int, x: float, rng) -> bool:
@@ -430,38 +414,32 @@ def _simulate_branch_event(rho: float, chi: int, x: float, rng) -> bool:
 
 
 def criterion_conditional_oracles(seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    trials = 100_000
     spec = RngSpec(seed)
     checks = []
     stream = 5_000
     for rho, chi in ((1.0, 0), (1.0, 1)):
         for x in (0.5, 1.0, 2.0):
-            rng = spec.stream(stream)
-            stream += 1
-            hits = sum(
-                1 for _ in range(trials) if _simulate_line_survival(rho, chi, x, rng)
-            )
+            # The line event: a root child born by x whose subtree is still
+            # a line at x.
             checks.append(
-                _freq_check(
+                _event_check(
                     f"line probability q({rho:g}, {chi}; x = {x:g})",
-                    hits,
-                    trials,
+                    lambda rng: _sample_child_birth(rho, chi, x, rng)
+                    + sample_H(rho, rho + chi, rng)
+                    > x,
+                    spec.stream(stream),
                     q_line_prob(rho, chi, x),
                 )
             )
-            rng = spec.stream(stream)
-            stream += 1
-            hits = sum(
-                1 for _ in range(trials) if _simulate_branch_event(rho, chi, x, rng)
-            )
             checks.append(
-                _freq_check(
+                _event_check(
                     f"branch probability pk({rho:g}, {chi}; x = {x:g})",
-                    hits,
-                    trials,
+                    lambda rng: _simulate_branch_event(rho, chi, x, rng),
+                    spec.stream(stream + 1),
                     pk_given_x(rho, chi, x),
                 )
             )
+            stream += 2
     return checks
 
 
@@ -471,6 +449,7 @@ def criterion_conditional_oracles(seed: int = DEFAULT_SEED) -> list[CheckResult]
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED, workers: int = 1) -> list[CheckResult]:
+    RngSpec(seed)  # refuses a bad seed before any suite runs
     suites = {
         "constants": lambda: (
             criterion_closed_forms()

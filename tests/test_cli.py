@@ -36,6 +36,13 @@ class TestGenerate:
         )
         assert code == 0
 
+    def test_missing_out_directory(self, tmp_path, capsys):
+        target = str(tmp_path / "missing" / "t.txt")
+        code, out, err = run(
+            capsys, "generate", "--model", "uniform", "-n", "5", "--seed", "1", "--out", target
+        )
+        assert code == 2 and out == "" and err == f"error: {target}: no such directory\n"
+
     def test_seed_is_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--model", "uniform", "-n", "5"])
@@ -216,6 +223,31 @@ class TestExperiment:
         assert code == 2 and err.startswith("error:") and err.count("--force") == 1
         assert target.read_text() == "kept\n"
 
+    def test_missing_out_directory_refused_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        def fail(config):
+            raise AssertionError("run_experiment ran")
+
+        monkeypatch.setattr("treedim.cli.run_experiment", fail)
+        target = str(tmp_path / "missing" / "x.csv")
+        code, out, err = run(
+            capsys, "experiment", "--model", "uniform", "-n", "20", "--trials", "2",
+            "--seed", "9", "--out", target,
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {target}: no such directory\n"
+
+    def test_compare_without_constant_refused_before_any_trial(self, capsys, monkeypatch):
+        def fail(config):
+            raise AssertionError("run_experiment ran")
+
+        monkeypatch.setattr("treedim.cli.run_experiment", fail)
+        code, out, err = run(
+            capsys, "experiment", "--model", "pa", "--rho", "2", "--chi", "0",
+            "-n", "50", "--trials", "2", "--seed", "1", "--compare",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: no reference constant exists for this configuration\n"
+
     def test_compare_failure_sets_exit_code(self, capsys):
         code, out, _ = run(
             capsys, "experiment", "--model", "uniform", "-n", "50", "--trials", "5",
@@ -277,6 +309,15 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "constants")
         assert code == 0
         assert "checks passed" in out and "FAIL" not in out
+
+    def test_bad_seed_refused_before_any_suite(self, capsys, monkeypatch):
+        def fail():
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr("treedim.verify.criterion_closed_forms", fail)
+        code, out, err = run(capsys, "verify", "all", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "master_seed" in err
 
     def test_help_lists_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:

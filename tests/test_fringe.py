@@ -172,7 +172,7 @@ class TestTupleCoreOracle:
         assert is_path(t) == all(
             len(kids) <= 1 + (v == ref.root) for v, kids in enumerate(ref.children)
         )
-        assert subtree_sizes(t) == sizes
+        assert subtree_sizes(t).tolist() == sizes
         assert count_subtree_property(t, is_line) == sum(flags)
         assert count_subtree_property(t, is_pl) == sum(not kids for kids in ref.children)
         assert count_subtree_property(t, is_pk) == sum(pk)
@@ -199,7 +199,7 @@ def broom(rng, n: int, h: int) -> list[int | None]:
 def assert_sizes_match(parents):
     t = build_from_parents(parents)
     sizes = tuple_core.subtree_sizes(tuple_core.build_from_parents(parents))
-    assert subtree_sizes(t) == sizes
+    assert subtree_sizes(t).tolist() == sizes
     assert list(fringe_size_counts(t).items()) == sorted(Counter(sizes).items())
 
 

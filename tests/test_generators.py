@@ -186,7 +186,8 @@ class TestOffspringPmf:
         pmf = OffspringPmf.poisson(1.0)
         pmf.require_critical()
         assert pmf.p0 == pytest.approx(math.exp(-1), abs=1e-12)
-        assert pmf.second_moment == pytest.approx(2.0, abs=1e-9)
+        second_moment = math.fsum(k * k * p for k, p in enumerate(pmf.probs))
+        assert second_moment == pytest.approx(2.0, abs=1e-9)
 
     def test_geometric_is_critical(self):
         pmf = OffspringPmf.geometric(0.5, kmax=60)
@@ -369,7 +370,7 @@ class TestPATree:
         counts = np.zeros(k, dtype=int)
         for _ in range(trials):
             t = sample_pa_tree(PAParams(2.0, -1), k, rng)
-            sizes = subtree_sizes(t)
+            sizes = subtree_sizes(t).tolist()
             first = sizes[t.children[t.root][0]]
             other = (k - 1) - first
             s = first if rng.random() < 0.5 else other
