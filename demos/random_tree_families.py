@@ -7,8 +7,6 @@ this script reproduces the output bit for bit.
 from collections import Counter
 
 from treedim import (
-    ExpDoomsday,
-    FixedSize,
     OffspringPmf,
     PAParams,
     RngSpec,
@@ -44,7 +42,7 @@ for rho, chi, name in ((2.0, -1, "binary search tree"),
     print(f"  {name:22} max degree {max(deg):4d}  leaves {sum(d == 1 for d in deg):4d}")
 
 print("\nThe same growth rule in continuous time (births at exponential gaps):")
-cmj = simulate_cmj(PAParams(1.0, 1), FixedSize(8), spec.stream(20))
+cmj = simulate_cmj(PAParams(1.0, 1), 8, spec.stream(20))
 for v in range(cmj.tree.n):
     parent = int(cmj.tree.parents[v])
     print(f"  vertex {v} born {cmj.birth_times[v]:.3f}"
@@ -55,7 +53,7 @@ print("heavy tailed; singletons appear with probability (rho+chi)/(2rho+chi):")
 rng = spec.stream(21)
 sizes = Counter()
 for _ in range(2000):
-    t = simulate_cmj(PAParams(1.0, 1), ExpDoomsday(max_vertices=500), rng).tree
+    t = simulate_cmj(PAParams(1.0, 1), 500, rng, horizon=rng.exponential(0.5)).tree
     sizes[min(t.n, 6)] += 1
 for size in sorted(sizes):
     label = f"{size}" if size < 6 else ">=6"

@@ -46,8 +46,6 @@ from .fringe import (
 )
 from .generators import (
     CMJTree,
-    ExpDoomsday,
-    FixedSize,
     OffspringPmf,
     PAParams,
     RngSpec,

@@ -36,7 +36,7 @@ from .fringe import (
     is_pk,
     is_pl,
 )
-from .generators import FixedSize, OffspringPmf, PAParams, RngSpec, simulate_cmj
+from .generators import OffspringPmf, PAParams, RngSpec, simulate_cmj
 from .metric_dimension import BRUTE_FORCE_CAP, brute_force_md, md_report
 from .quadrature import QuadratureSpec
 from .tree import read_tree, serialize, write_tree
@@ -82,6 +82,8 @@ def _refuse_existing(out: str | None, force: bool) -> None:
     """Called before any work, so a refused ``--out`` costs nothing."""
     if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
         raise TreedimError(f"{out}: no such directory")
+    if out is not None and os.path.isdir(out):
+        raise TreedimError(f"{out} is a directory")
     if out is not None and os.path.exists(out) and not force:
         raise TreedimError(f"{out} exists; pass --force to overwrite")
 
@@ -109,7 +111,7 @@ def _cmd_generate(args) -> int:
     _refuse_existing(args.out, args.force)
     rng = RngSpec(args.seed).stream(0)
     if args.model == "cmj":  # stopped at the requested size; birth times are dropped
-        tree = simulate_cmj(_pa_params(args), FixedSize(args.n), rng).tree
+        tree = simulate_cmj(_pa_params(args), args.n, rng).tree
     else:
         tree = _model(args).sample(args.n, rng)
     if args.out is None:

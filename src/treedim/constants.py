@@ -177,7 +177,6 @@ def c_gw(pmf: OffspringPmf) -> ConstantResult:
 
     Closed form: the single-vertex probability p0 minus :func:`gw_pk_prob`.
     """
-    pmf.require_critical()
     value = pmf.p0 - gw_pk_prob(pmf)
     return ConstantResult(value=value, abs_error_estimate=1e-14, method="closed_form")
 

@@ -16,7 +16,8 @@ Families:
   (uniform picks, edge-endpoint copying or free-slot lists, O(n) array
   passes);
 * the continuous-time embedding of the same growth rule (event queue),
-  stopped at a fixed size or at an independent exponential "doomsday" time;
+  stopped at a size cap or at a time horizon (such as an independent
+  exponential "doomsday" time drawn by the caller);
 * the increasing-rate exponential clock H used in line-survival analysis.
 """
 
@@ -57,7 +58,7 @@ class RngSpec:
 
 @dataclass(frozen=True)
 class OffspringPmf:
-    """Finite offspring distribution p_0..p_K with derived moments."""
+    """Critical (mean 1) finite offspring distribution p_0..p_K with derived moments."""
 
     probs: tuple[float, ...]
 
@@ -72,6 +73,8 @@ class OffspringPmf:
             raise InvalidPmf(f"probabilities sum to {total!r}, not 1")
         if self.probs[0] <= 0.0:
             raise InvalidPmf("p_0 must be positive (the tree must be able to die out)")
+        if abs(self.mean - 1.0) > 1e-9:
+            raise InvalidPmf(f"offspring mean {self.mean!r} is not 1 within 1e-09")
 
     @classmethod
     def from_probs(cls, probs, renormalize: bool = False) -> "OffspringPmf":
@@ -122,10 +125,6 @@ class OffspringPmf:
     def support(self) -> tuple[int, ...]:
         return tuple(k for k, p in enumerate(self.probs) if p > 0)
 
-    def require_critical(self) -> None:
-        if abs(self.mean - 1.0) > 1e-9:
-            raise InvalidPmf(f"offspring mean {self.mean!r} is not 1 within 1e-09")
-
 
 def check_pa(rho: float, chi: int, error: type[Exception] = InvalidParams) -> None:
     """Raise ``error`` unless weight rho + chi * children(v) is a growth rule:
@@ -157,26 +156,6 @@ class CMJTree:
 
     tree: RootedTree
     birth_times: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class FixedSize:
-    """Stop the continuous-time growth at exactly ``n`` vertices."""
-
-    n: int
-
-
-@dataclass(frozen=True)
-class ExpDoomsday:
-    """Stop at an independent Exp(rho + chi) time, drawn before the run.
-
-    ``max_vertices`` freezes growth at a size cap; the resulting tree is
-    the exact state at the cap's birth time.  The stopped-tree size is
-    heavy tailed, so :func:`simulate_cmj` refuses a run without a cap
-    rather than let it grow without bound.
-    """
-
-    max_vertices: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +223,6 @@ def sample_conditioned_gw(
     """
     if n < 1:
         raise InvalidParams(f"tree size must be >= 1, got {n}")
-    pmf.require_critical()
     g = math.gcd(*pmf.support())
     if (n - 1) % g != 0:
         raise UnreachableSize(
@@ -378,37 +356,24 @@ def sample_pa_tree(params: PAParams, n: int, rng: np.random.Generator) -> Rooted
 
 def simulate_cmj(
     params: PAParams,
-    stop: FixedSize | ExpDoomsday,
+    n: int,
     rng: np.random.Generator,
+    horizon: float = math.inf,
 ) -> CMJTree:
     """Event-driven simulation of the continuous-time growth process.
 
     Each vertex bears children at exponential gaps; the gap before a
     vertex's (j+1)-st child has rate rho + chi * j (for chi = -1 the vertex
-    stops after rho children).  Stopped at ``FixedSize(n)`` and stripped of
-    birth times, the tree is distributed exactly as
-    ``sample_pa_tree(params, n)``.
+    stops after rho children).  The run stops at the birth of the n-th
+    vertex or at time ``horizon``, whichever comes first, and returns the
+    exact state then.  With no horizon and stripped of birth times, the
+    tree is distributed exactly as ``sample_pa_tree(params, n)``.
     """
+    if n < 1:
+        raise InvalidParams(f"tree size must be >= 1, got {n}")
+    if not horizon >= 0:  # also catches NaN
+        raise InvalidParams(f"horizon must be >= 0, got {horizon}")
     rho, chi = params.rho, params.chi
-    if isinstance(stop, FixedSize):
-        if stop.n < 1:
-            raise InvalidParams(f"FixedSize needs n >= 1, got {stop.n}")
-        horizon = math.inf
-        cap = stop.n
-    elif isinstance(stop, ExpDoomsday):
-        rate = rho + chi
-        if rate <= 0:
-            raise InvalidParams(
-                f"doomsday rate rho + chi = {rate} must be positive"
-            )
-        if stop.max_vertices is None:
-            raise InvalidParams("ExpDoomsday needs max_vertices: the stopped size is unbounded")
-        cap = stop.max_vertices
-        if cap < 1:
-            raise InvalidParams("max_vertices must be >= 1")
-        horizon = rng.exponential(1.0 / rate)
-    else:
-        raise InvalidParams(f"unknown stop rule {stop!r}")
 
     parents = [-1]
     births = [0.0]
@@ -424,7 +389,7 @@ def simulate_cmj(
         heapq.heappush(pending, (now + rng.exponential(1.0 / rate), seq, parent))
         seq += 1
 
-    if cap > 1:
+    if n > 1:
         schedule(0, 0.0)
     while pending:
         t, _, parent = heapq.heappop(pending)
@@ -435,7 +400,7 @@ def simulate_cmj(
         births.append(t)
         outdeg[parent] += 1
         outdeg.append(0)
-        if child + 1 >= cap:
+        if child + 1 >= n:
             break
         schedule(parent, t)
         schedule(child, t)

@@ -33,8 +33,6 @@ from .experiments import (
 )
 from .fringe import epsilon_audit, fringe_size_counts
 from .generators import (
-    ExpDoomsday,
-    FixedSize,
     OffspringPmf,
     PAParams,
     RngSpec,
@@ -205,7 +203,7 @@ def criterion_slater_oracle(seed: int = DEFAULT_SEED) -> list[CheckResult]:
 
 def criterion_epsilon_audit(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     def cmj(n, rng):
-        return simulate_cmj(PAParams(1.0, 1), FixedSize(n), rng).tree
+        return simulate_cmj(PAParams(1.0, 1), n, rng).tree
 
     models = [
         ("gw-poisson", GWModel(OffspringPmf.poisson(1.0)).sample),
@@ -312,7 +310,7 @@ def criterion_embedding_tv(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         cmj_counts: Counter = Counter()
         pa_counts: Counter = Counter()
         for _ in range(samples):
-            cmj_counts[_shape_key(simulate_cmj(params, FixedSize(4), rng).tree)] += 1
+            cmj_counts[_shape_key(simulate_cmj(params, 4, rng).tree)] += 1
         for _ in range(samples):
             pa_counts[_shape_key(sample_pa_tree(params, 4, rng))] += 1
         keys = set(cmj_counts) | set(pa_counts)
@@ -366,13 +364,15 @@ def criterion_fringe_laws(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         )
     for idx, (rho, chi) in enumerate(EMBEDDING_PARAMS):
         params = PAParams(rho, chi)
-        # A size cap cannot change whether the stopped tree is a single
-        # vertex, so the heavy-tailed runs can be frozen early.
-        stop = ExpDoomsday(max_vertices=10_000)
+        # The horizon is the independent Exp(rho + chi) doomsday.  A size
+        # cap cannot change whether the stopped tree is a single vertex, so
+        # the heavy-tailed runs can be frozen early.
         checks.append(
             _event_check(
                 f"stopped-tree single-vertex fraction, (rho, chi) = ({rho:g}, {chi})",
-                lambda rng: simulate_cmj(params, stop, rng).tree.n == 1,
+                lambda rng: simulate_cmj(
+                    params, 10_000, rng, horizon=rng.exponential(1.0 / (rho + chi))
+                ).tree.n == 1,
                 spec.stream(4_100 + idx),
                 (rho + chi) / (2 * rho + chi),
             )

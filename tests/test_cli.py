@@ -43,6 +43,18 @@ class TestGenerate:
         )
         assert code == 2 and out == "" and err == f"error: {target}: no such directory\n"
 
+    @pytest.mark.parametrize("force", [[], ["--force"]])
+    def test_directory_out_refused_before_sampling(self, tmp_path, capsys, monkeypatch, force):
+        def fail(args):
+            raise AssertionError("sampler ran")
+
+        monkeypatch.setattr("treedim.cli._model", fail)
+        code, out, err = run(
+            capsys, "generate", "--model", "uniform", "-n", "5", "--seed", "1",
+            "--out", str(tmp_path), *force,
+        )
+        assert code == 2 and out == "" and err == f"error: {tmp_path} is a directory\n"
+
     def test_seed_is_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--model", "uniform", "-n", "5"])
@@ -235,6 +247,18 @@ class TestExperiment:
         )
         assert code == 2 and out == ""
         assert err == f"error: {target}: no such directory\n"
+
+    @pytest.mark.parametrize("force", [[], ["--force"]])
+    def test_directory_out_refused_before_any_trial(self, tmp_path, capsys, monkeypatch, force):
+        def fail(config):
+            raise AssertionError("run_experiment ran")
+
+        monkeypatch.setattr("treedim.cli.run_experiment", fail)
+        code, out, err = run(
+            capsys, "experiment", "--model", "uniform", "-n", "20", "--trials", "3",
+            "--seed", "1", "--out", str(tmp_path), *force,
+        )
+        assert code == 2 and out == "" and err == f"error: {tmp_path} is a directory\n"
 
     def test_compare_without_constant_refused_before_any_trial(self, capsys, monkeypatch):
         def fail(config):

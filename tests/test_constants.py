@@ -133,15 +133,13 @@ class TestGWConstant:
         assert c_gw(pmf).value == pytest.approx(4 / 15, abs=1e-12)
 
     def test_non_critical_rejected(self):
-        pmf = OffspringPmf.from_probs([0.6, 0.4])
-        with pytest.raises(InvalidPmf):
-            c_gw(pmf)
+        with pytest.raises(InvalidPmf, match="not 1"):
+            c_gw(OffspringPmf.from_probs([0.6, 0.4]))
 
     def test_p1_one_rejected(self):
         # Within the pmf's sum and mean tolerances, yet every vertex has one
         # child: the line probability p0 / (1 - p1) is undefined.
         pmf = OffspringPmf((1e-13, 1.0))
-        pmf.require_critical()
         with pytest.raises(InvalidPmf, match="p_1 < 1"):
             c_gw(pmf)
 

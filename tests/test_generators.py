@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 
 from treedim import (
     CMJTree,
-    ExpDoomsday,
-    FixedSize,
     OffspringPmf,
     PAParams,
     RngSpec,
@@ -134,7 +132,7 @@ def _pa_sampler(rho, chi):
 
 def _cmj_sampler(rho, chi):
     params = PAParams(rho, chi)
-    return lambda n, rng: simulate_cmj(params, FixedSize(n), rng).tree
+    return lambda n, rng: simulate_cmj(params, n, rng).tree
 
 
 # Every sampler, as (n, rng) -> RootedTree.
@@ -184,20 +182,17 @@ class TestOffspringPmf:
 
     def test_poisson_is_critical(self):
         pmf = OffspringPmf.poisson(1.0)
-        pmf.require_critical()
         assert pmf.p0 == pytest.approx(math.exp(-1), abs=1e-12)
         second_moment = math.fsum(k * k * p for k, p in enumerate(pmf.probs))
         assert second_moment == pytest.approx(2.0, abs=1e-9)
 
     def test_geometric_is_critical(self):
         pmf = OffspringPmf.geometric(0.5, kmax=60)
-        pmf.require_critical()
         assert pmf.p0 == pytest.approx(0.5, abs=1e-12)
 
     def test_subcritical_rejected(self):
-        pmf = OffspringPmf.from_probs([0.6, 0.4])
-        with pytest.raises(InvalidPmf):
-            pmf.require_critical()
+        with pytest.raises(InvalidPmf, match="mean 0.4"):
+            OffspringPmf.from_probs([0.6, 0.4])
 
     def test_pgf(self):
         pmf = OffspringPmf.from_probs([0.5, 0.0, 0.5])
@@ -258,7 +253,6 @@ class TestConditionedGW:
         # lattice pre-check; the rejection budget must catch it
         monkeypatch.setattr(generators, "REJECTION_BUDGET", 4000)
         pmf = OffspringPmf.from_probs([0.6, 0.0, 0.2, 0.2])
-        pmf.require_critical()
         with pytest.raises(UnreachableSize, match="within 4000 attempts"):
             sample_conditioned_gw(pmf, 2, RngSpec(6).stream(0))
 
@@ -267,8 +261,8 @@ class TestConditionedGW:
             sample_conditioned_gw(self.pmf, 0, RngSpec(7).stream(0))
 
     def test_support_zero_refused_as_subcritical(self):
-        # Offspring support {0} has mean 0, so the criticality check refuses
-        # it before the lattice span (gcd of the support) is taken.
+        # Offspring support {0} has mean 0, so the pmf is refused when it is
+        # built, before the lattice span (gcd of the support) is taken.
         with pytest.raises(InvalidPmf, match="not 1"):
             sample_conditioned_gw(OffspringPmf((1.0,)), 1, RngSpec(7).stream(0))
 
@@ -395,11 +389,11 @@ class TestPATree:
 
 class TestCMJ:
     def test_fixed_size_one(self):
-        ct = simulate_cmj(PAParams(1.0, 1), FixedSize(1), RngSpec(17).stream(0))
+        ct = simulate_cmj(PAParams(1.0, 1), 1, RngSpec(17).stream(0))
         assert ct.tree.n == 1 and ct.birth_times == (0.0,)
 
     def test_birth_time_invariants(self):
-        ct = simulate_cmj(PAParams(1.0, 1), FixedSize(300), RngSpec(18).stream(0))
+        ct = simulate_cmj(PAParams(1.0, 1), 300, RngSpec(18).stream(0))
         births = ct.birth_times
         tree = ct.tree
         for v in range(1, tree.n):
@@ -415,7 +409,7 @@ class TestCMJ:
         trials = 30_000
         two = 0
         for _ in range(trials):
-            ct = simulate_cmj(PAParams(1.0, 1), FixedSize(3), rng)
+            ct = simulate_cmj(PAParams(1.0, 1), 3, rng)
             two += len(ct.tree.children[0]) == 2
         p = 2 / 3
         se = math.sqrt(p * (1 - p) / trials)
@@ -426,21 +420,21 @@ class TestCMJ:
         trials = 30_000
         ones = 0
         for _ in range(trials):
-            ct = simulate_cmj(PAParams(2.0, -1), ExpDoomsday(max_vertices=5000), rng)
+            ct = simulate_cmj(PAParams(2.0, -1), 5000, rng, horizon=rng.exponential(1.0))
             ones += ct.tree.n == 1
         p = 1 / 3
         se = math.sqrt(p * (1 - p) / trials)
         assert abs(ones / trials - p) <= 3 * se
 
-    def test_doomsday_requires_positive_rate(self):
-        with pytest.raises(InvalidParams):
-            simulate_cmj(PAParams(1.0, -1), ExpDoomsday(), RngSpec(21).stream(0))
-
-    def test_doomsday_requires_a_cap(self):
+    @pytest.mark.parametrize(
+        "n,horizon,message",
+        [(0, math.inf, "tree size must be >= 1, got 0"), (5, math.nan, "horizon"), (5, -1.0, "horizon")],
+    )
+    def test_bad_size_or_horizon_refused_before_any_draw(self, n, horizon, message):
         rng = RngSpec(21).stream(0)
         state = rng.bit_generator.state
-        with pytest.raises(InvalidParams, match="max_vertices"):
-            simulate_cmj(PAParams(1.0, 1), ExpDoomsday(), rng)
+        with pytest.raises(InvalidParams, match=message):
+            simulate_cmj(PAParams(1.0, 1), n, rng, horizon)
         assert rng.bit_generator.state == state
 
     def test_fixed_size_matches_discrete_chain(self):
@@ -449,7 +443,7 @@ class TestCMJ:
         rng = RngSpec(22).stream(0)
         trials = 20_000
         cmj_counts = Counter(
-            shape_key(simulate_cmj(params, FixedSize(4), rng).tree)
+            shape_key(simulate_cmj(params, 4, rng).tree)
             for _ in range(trials)
         )
         pa_counts = Counter(
@@ -489,7 +483,7 @@ class TestDeterminism:
             lambda rng: sample_conditioned_gw(pmf, 40, rng),
             lambda rng: sample_uniform_tree(40, rng),
             lambda rng: sample_pa_tree(PAParams(2.0, -1), 40, rng),
-            lambda rng: simulate_cmj(PAParams(1.0, 1), FixedSize(40), rng).tree,
+            lambda rng: simulate_cmj(PAParams(1.0, 1), 40, rng).tree,
         ]
         for i, sampler in enumerate(samplers):
             first = serialize(sampler(spec.stream(i)))
@@ -498,8 +492,8 @@ class TestDeterminism:
 
     def test_cmj_birth_times_reproducible(self):
         spec = RngSpec(322)
-        a = simulate_cmj(PAParams(1.0, 0), FixedSize(30), spec.stream(0))
-        b = simulate_cmj(PAParams(1.0, 0), FixedSize(30), spec.stream(0))
+        a = simulate_cmj(PAParams(1.0, 0), 30, spec.stream(0))
+        b = simulate_cmj(PAParams(1.0, 0), 30, spec.stream(0))
         assert a == b and isinstance(a, CMJTree)
 
 
