@@ -31,7 +31,7 @@ for n in (100, 400, 1600):
         f"{n:6d}  {summary.mean:.5f}  {summary.stderr:.5f}   {summary.abs_diff:.5f}"
     )
 
-report = compare_to_constant(summaries[-1], summaries[-1].constant, tolerance=0.01)
+report = compare_to_constant(summaries[-1], tolerance=0.01)
 print(
     f"\nat n = 1600: |mean - c| = {report.abs_diff:.5f} "
     f"(tolerance 0.01 -> {'pass' if report.within_tolerance else 'fail'}; "

@@ -1,7 +1,7 @@
 """Seeded Monte Carlo harness with deterministic parallel aggregation.
 
 Trial ``i`` of an experiment always consumes RNG stream
-``(master_seed, i)``, and the final reduction replays per-trial values in
+``(master_seed, i)``, and the one reduction streams the per-trial values in
 trial order, so results are bit-identical for any worker count.
 """
 
@@ -12,6 +12,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -29,7 +30,14 @@ from .generators import (
 from .metric_dimension import md_report
 from .tree import RootedTree
 
-STATISTICS = ("beta_over_n", "pl_fraction", "pk_fraction")
+# Statistic name -> the count it divides by the tree size.  ``md_report``
+# is looked up when a trial runs, so a rebinding of the module name is seen.
+_COUNTS = {
+    "beta_over_n": lambda tree: md_report(tree).beta,
+    "pl_fraction": lambda tree: count_subtree_property(tree, is_pl),
+    "pk_fraction": lambda tree: count_subtree_property(tree, is_pk),
+}
+STATISTICS = tuple(_COUNTS)
 
 CSV_COLUMNS = (
     "model",
@@ -163,35 +171,11 @@ class ExperimentSummary:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    constant: float
     tolerance: float
     abs_diff: float
     within_tolerance: bool
     band_halfwidth: float
     within_band: bool
-
-
-class _Welford:
-    """Streaming mean/variance; updates in trial order for determinism."""
-
-    __slots__ = ("count", "mean", "m2")
-
-    def __init__(self):
-        self.count = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-
-    def update(self, x: float) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
-
-    @property
-    def sample_std(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return math.sqrt(self.m2 / (self.count - 1))
 
 
 def generate_tree(model: ModelSpec, n: int, rng) -> RootedTree:
@@ -209,41 +193,33 @@ def default_reference(config: ExperimentConfig) -> float | None:
 def _trial(config: ExperimentConfig, i: int) -> float:
     rng = RngSpec(config.master_seed).stream(i)
     tree = generate_tree(config.model, config.n, rng)
-    stat = config.statistic
-    if stat == "beta_over_n":
-        return md_report(tree).beta / tree.n
-    if stat == "pl_fraction":
-        return count_subtree_property(tree, is_pl) / tree.n
-    return count_subtree_property(tree, is_pk) / tree.n
+    return _COUNTS[config.statistic](tree) / tree.n
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     """Run all trials and aggregate.
 
-    The mean/variance reduction happens in trial-index order whatever the
-    worker count, so two runs with the same config agree bit for bit.
+    Trial values stream in trial-index order into one mean/variance
+    reduction whatever the worker count, so two runs with the same config
+    agree bit for bit.
     """
     reference = default_reference(config)
-    welford = _Welford()
     # The executor forks every worker up front, so there are never more
     # than there are trials or cores.
     workers = min(config.workers, config.trials, os.cpu_count() or 1)
-    if workers == 1:
-        for i in range(config.trials):
-            welford.update(_trial(config, i))
-    else:
+    count, mean, m2 = 0, 0.0, 0.0
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         chunk = max(1, config.trials // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # map preserves input order, so the replayed reduction below is
-            # identical to the single-worker stream.
-            for value in pool.map(
-                partial(_trial, config), range(config.trials), chunksize=chunk
-            ):
-                welford.update(value)
-
-    stddev = welford.sample_std
+        # Both maps yield in input order, so the pool's stream is the
+        # single-worker stream.
+        trial_map = map if pool is None else partial(pool.map, chunksize=chunk)
+        for x in trial_map(partial(_trial, config), range(config.trials)):
+            count += 1
+            delta = x - mean
+            mean += delta / count
+            m2 += delta * (x - mean)
+    stddev = math.sqrt(m2 / (count - 1)) if count > 1 else 0.0
     stderr = stddev / math.sqrt(config.trials)
-    mean = welford.mean
     model = config.model
     return ExperimentSummary(
         model=model.name,
@@ -270,19 +246,19 @@ def check_tolerance(tolerance: float) -> None:
         raise InvalidParams(f"tolerance must be finite and >= 0, got {tolerance!r}")
 
 
-def compare_to_constant(
-    summary: ExperimentSummary, constant: float, tolerance: float
-) -> ComparisonReport:
-    """Check the experiment mean against a limiting constant.
+def compare_to_constant(summary: ExperimentSummary, tolerance: float) -> ComparisonReport:
+    """Check the experiment mean against the summary's limiting constant.
 
     Reports pass/fail both for the caller's absolute tolerance and for the
-    three-standard-error band around the Monte Carlo mean.
+    three-standard-error band around the Monte Carlo mean.  A summary
+    without a constant is refused.
     """
     check_tolerance(tolerance)
-    diff = abs(summary.mean - constant)
+    if summary.constant is None:
+        raise Unsupported("no reference constant exists for this configuration")
+    diff = abs(summary.mean - summary.constant)
     band = 3.0 * summary.stderr
     return ComparisonReport(
-        constant=constant,
         tolerance=tolerance,
         abs_diff=diff,
         within_tolerance=diff <= tolerance,

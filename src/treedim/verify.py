@@ -29,6 +29,7 @@ from .experiments import (
     GWModel,
     PAModel,
     UniformModel,
+    compare_to_constant,
     run_experiment,
 )
 from .fringe import epsilon_audit, fringe_size_counts
@@ -219,8 +220,6 @@ def criterion_epsilon_audit(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     cells = len(models) * len(sizes)
     quota = -(-total // cells)  # ceil
     epsilons: Counter[int] = Counter()
-    worst = 0
-    audited = 0
     for mi, (label, gen) in enumerate(models):
         for si, n in enumerate(sizes):
             rng = spec.stream(1_000 + mi * 10 + si)
@@ -231,9 +230,9 @@ def criterion_epsilon_audit(seed: int = DEFAULT_SEED) -> list[CheckResult]:
                     continue  # the audit targets non-path trees
                 audit = epsilon_audit(tree)
                 epsilons[audit.epsilon] += 1
-                worst = max(worst, abs(audit.epsilon))
                 done += 1
-                audited += 1
+    worst = max(abs(k) for k in epsilons)
+    audited = epsilons.total()
     distribution = {k: epsilons[k] for k in sorted(epsilons)}
     return [
         CheckResult(
@@ -266,18 +265,16 @@ def criterion_figure1(seed: int = DEFAULT_SEED, workers: int = 1) -> list[CheckR
             n=n,
             trials=trials,
             master_seed=seed + offset,
-            statistic="beta_over_n",
             workers=workers,
         )
         summary = run_experiment(config)
-        diff = summary.abs_diff
-        band = 3.0 * summary.stderr
+        report = compare_to_constant(summary, 0.01)
         checks.append(
             CheckResult(
                 f"mean beta/n vs constant: {label}",
-                diff <= 0.01 and diff <= band,
-                f"{summary.constant:.5f} +- min(0.01, {band:.5f})",
-                f"{summary.mean:.5f} (diff {diff:.5f}, stderr {summary.stderr:.5f})",
+                report.within_tolerance and report.within_band,
+                f"{summary.constant:.5f} +- min(0.01, {report.band_halfwidth:.5f})",
+                f"{summary.mean:.5f} (diff {summary.abs_diff:.5f}, stderr {summary.stderr:.5f})",
             )
         )
     elapsed = time.perf_counter() - t0
@@ -307,12 +304,8 @@ def criterion_embedding_tv(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     for idx, (rho, chi) in enumerate(EMBEDDING_PARAMS):
         params = PAParams(rho, chi)
         rng = spec.stream(2_000 + idx)
-        cmj_counts: Counter = Counter()
-        pa_counts: Counter = Counter()
-        for _ in range(samples):
-            cmj_counts[_shape_key(simulate_cmj(params, 4, rng).tree)] += 1
-        for _ in range(samples):
-            pa_counts[_shape_key(sample_pa_tree(params, 4, rng))] += 1
+        cmj_counts = Counter(_shape_key(simulate_cmj(params, 4, rng).tree) for _ in range(samples))
+        pa_counts = Counter(_shape_key(sample_pa_tree(params, 4, rng)) for _ in range(samples))
         keys = set(cmj_counts) | set(pa_counts)
         tv = 0.5 * sum(abs(cmj_counts[k] - pa_counts[k]) / samples for k in keys)
         checks.append(

@@ -456,6 +456,24 @@ class TestBadInput:
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.startswith("error:") and "2^53" in err
 
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (("generate", "--model", "uniform"), "treedim.cli._model"),
+            (("experiment", "--model", "uniform", "--trials", "1"), "treedim.cli.run_experiment"),
+        ],
+        ids=["generate", "experiment"],
+    )
+    def test_unallocatable_size(self, capsys, monkeypatch, argv, target):
+        # numpy raises MemoryError for an array no memory can hold; the
+        # stand-in raises it without allocating.
+        def fail(*args):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(target, fail)
+        code, out, err = run(capsys, *argv, "-n", "100000000000", "--seed", "1")
+        assert code == 2 and out == "" and err == "error: Unable to allocate\n"
+
     def test_mary_constant_overflow(self, capsys):
         code, _, err = run(capsys, "constant", "--model", "mary", "--m", "200")
         assert code == 2 and "c_mary(200)" in err

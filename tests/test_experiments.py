@@ -20,8 +20,11 @@ from treedim import (
     run_experiment,
 )
 from treedim.cli import main
-from treedim.errors import InvalidParams
-from treedim.experiments import CSV_COLUMNS, default_reference
+from treedim.errors import InvalidParams, Unsupported
+from treedim.experiments import CSV_COLUMNS, STATISTICS, default_reference
+from treedim.fringe import count_subtree_property, is_pk, is_pl
+from treedim.generators import RngSpec
+from treedim.metric_dimension import md_report
 
 BST = PAModel(PAParams(2.0, -1))
 
@@ -141,6 +144,18 @@ class TestRun:
         assert sizes == ([] if pool is None else [pool])
         assert summary == run_experiment(small_config(trials=trials))
 
+    @pytest.mark.parametrize("statistic", STATISTICS)
+    def test_trial_values_are_counts_over_n(self, statistic):
+        count = {
+            "beta_over_n": lambda t: md_report(t).beta,
+            "pl_fraction": lambda t: count_subtree_property(t, is_pl),
+            "pk_fraction": lambda t: count_subtree_property(t, is_pk),
+        }[statistic]
+        trees = [UniformModel().sample(40, RngSpec(7).stream(i)) for i in range(5)]
+        expected = sum(count(t) / t.n for t in trees) / len(trees)
+        summary = run_experiment(small_config(statistic=statistic, trials=5))
+        assert summary.mean == pytest.approx(expected, abs=1e-15)
+
     def test_convergence_tightens_with_n(self):
         # coarse two-point check that larger trees sit closer to the limit:
         # the RMS deviation of the trial values from the constant c is
@@ -165,21 +180,29 @@ class TestRun:
 class TestCompare:
     def test_pass_within_tolerance(self):
         s = dataclasses.replace(run_experiment(small_config()), mean=0.1095)
-        assert compare_to_constant(s, 0.10969, 0.01).within_tolerance
+        report = compare_to_constant(dataclasses.replace(s, constant=0.10969), 0.01)
+        assert report.within_tolerance
 
     def test_fail_outside_tolerance(self):
         s = dataclasses.replace(run_experiment(small_config()), mean=0.15)
-        assert not compare_to_constant(s, 0.10969, 0.01).within_tolerance
+        report = compare_to_constant(dataclasses.replace(s, constant=0.10969), 0.01)
+        assert not report.within_tolerance
 
     def test_pa_grid_example(self):
         s = dataclasses.replace(run_experiment(small_config()), mean=0.502)
-        assert compare_to_constant(s, 0.50120, 0.01).within_tolerance
+        report = compare_to_constant(dataclasses.replace(s, constant=0.50120), 0.01)
+        assert report.within_tolerance
 
     @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
     def test_useless_tolerance_refused(self, tol):
         s = run_experiment(small_config(trials=2))
         with pytest.raises(InvalidParams):
-            compare_to_constant(s, 0.10969, tol)
+            compare_to_constant(dataclasses.replace(s, constant=0.10969), tol)
+
+    def test_summary_without_constant_refused(self):
+        s = dataclasses.replace(run_experiment(small_config(trials=2)), constant=None)
+        with pytest.raises(Unsupported, match="no reference constant"):
+            compare_to_constant(s, 0.01)
 
 
 class TestExport:
