@@ -25,6 +25,7 @@ from .generators import (
     RngSpec,
     sample_conditioned_gw,
     sample_pa_tree,
+    sample_uniform_shape,
     sample_uniform_tree,
 )
 from .metric_dimension import md_report
@@ -56,8 +57,10 @@ CSV_COLUMNS = (
 )
 
 
-# Each model samples its family and gives the limit of each scalar
-# statistic; ``name``, ``rho`` and ``chi`` fill the summary row.
+# Each model samples its family, draws a tree whose labels do not matter
+# (``shape``: what a trial measures, as every statistic is label-invariant)
+# and gives the limit of each scalar statistic; ``name``, ``rho`` and
+# ``chi`` fill the summary row.
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,8 @@ class GWModel:
 
     def sample(self, n: int, rng) -> RootedTree:
         return sample_conditioned_gw(self.pmf, n, rng)
+
+    shape = sample
 
     def limit(self, statistic: str) -> float:
         if statistic == "beta_over_n":
@@ -88,6 +93,10 @@ class UniformModel:
 
     def sample(self, n: int, rng) -> RootedTree:
         return sample_uniform_tree(n, rng)
+
+    def shape(self, n: int, rng) -> RootedTree:
+        """The tree ``sample`` draws before its last draw, the labels."""
+        return sample_uniform_shape(n, rng)
 
     def limit(self, statistic: str) -> float:
         return GWModel(OffspringPmf.poisson(1.0)).limit(statistic)
@@ -110,6 +119,8 @@ class PAModel:
 
     def sample(self, n: int, rng) -> RootedTree:
         return sample_pa_tree(self.params, n, rng)
+
+    shape = sample
 
     def limit(self, statistic: str) -> float:
         rho, chi = self.params.rho, self.params.chi
@@ -179,7 +190,7 @@ class ComparisonReport:
 
 
 def generate_tree(model: ModelSpec, n: int, rng) -> RootedTree:
-    return model.sample(n, rng)
+    return model.shape(n, rng)
 
 
 def default_reference(config: ExperimentConfig) -> float | None:

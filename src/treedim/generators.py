@@ -10,8 +10,8 @@ Families:
   cycle-lemma rotation of the offspring walk, Devroye 2012; the tree is read
   off its depth-first outdegree sequence in O(n) array passes);
 * uniform labeled trees (the Poisson(1) case with no rejection: n - 1 balls
-  in n boxes give the outdegrees and uniform labels name the vertices,
-  Aldous 1991; O(n) array passes);
+  in n boxes give the outdegrees of the depth-first shape, and uniform
+  labels, drawn last, name its vertices, Aldous 1991; O(n) array passes);
 * linear-attachment growth trees with weight ``rho + chi * children(v)``
   (uniform picks, edge-endpoint copying or free-slot lists, O(n) array
   passes);
@@ -33,6 +33,16 @@ from .errors import InvalidParams, InvalidPmf, UnreachableSize
 from .tree import RootedTree, build_from_parents
 
 _MASK64 = (1 << 64) - 1
+MAX_TREE_SIZE = 2**53  # float64 picks and subtree-size sums are exact up to here
+
+
+def check_size(n: int) -> None:
+    """Raise :class:`InvalidParams` unless 1 <= n <= ``MAX_TREE_SIZE``;
+    every sampler calls it before its first draw."""
+    if n < 1:
+        raise InvalidParams(f"tree size must be >= 1, got {n}")
+    if n > MAX_TREE_SIZE:
+        raise InvalidParams(f"tree size must be <= 2^53, got {n}")
 
 
 @dataclass(frozen=True)
@@ -221,8 +231,7 @@ def sample_conditioned_gw(
     arrangement of them.  Acceptance is Theta(n^-1/2) for finite-variance
     critical offspring.  Gives up after ``REJECTION_BUDGET`` attempts.
     """
-    if n < 1:
-        raise InvalidParams(f"tree size must be >= 1, got {n}")
+    check_size(n)
     g = math.gcd(*pmf.support())
     if (n - 1) % g != 0:
         raise UnreachableSize(
@@ -254,19 +263,30 @@ def sample_conditioned_gw(
 # ---------------------------------------------------------------------------
 
 
-def sample_uniform_tree(n: int, rng: np.random.Generator) -> RootedTree:
-    """Uniform labeled tree on n vertices, rooted at a uniform vertex.
+def sample_uniform_shape(n: int, rng: np.random.Generator) -> RootedTree:
+    """The shape of a uniform labeled tree on n vertices: its vertices
+    numbered depth-first from the root 0.
 
     Throws n - 1 balls into n boxes: the box counts are n Poisson(1) draws
     conditioned on summing to n - 1, so their cycle-lemma rotation is the
     depth-first outdegree sequence of a Poisson(1) branching tree of size n
-    (Devroye, SIAM J. Comput. 41(1), 2012), and uniform labels make it a
-    uniform rooted labeled tree (Aldous, The continuum random tree II, 1991).
-    Exact, with no rejection, in O(n) array passes.
+    (Devroye, SIAM J. Comput. 41(1), 2012).  Exact, with no rejection, in
+    O(n) array passes.
     """
-    if n < 1:
-        raise InvalidParams(f"tree size must be >= 1, got {n}")
-    parents = _lukasiewicz_parents(np.bincount(rng.integers(0, n, n - 1), minlength=n))
+    check_size(n)
+    return build_from_parents(
+        _lukasiewicz_parents(np.bincount(rng.integers(0, n, n - 1), minlength=n))
+    )
+
+
+def sample_uniform_tree(n: int, rng: np.random.Generator) -> RootedTree:
+    """Uniform labeled tree on n vertices, rooted at a uniform vertex.
+
+    :func:`sample_uniform_shape` with uniform labels drawn after it, which
+    make the Poisson(1) branching tree a uniform rooted labeled tree
+    (Aldous, The continuum random tree II, 1991).
+    """
+    parents = sample_uniform_shape(n, rng).parents
     label = rng.permutation(n)
     labeled = np.empty(n, dtype=np.int64)
     labeled[label[0]] = -1
@@ -336,8 +356,7 @@ def sample_pa_tree(params: PAParams, n: int, rng: np.random.Generator) -> Rooted
     uniform free slot; it refuses more than 2^53 slots, (rho - 1)(n - 1) + 1,
     where float64 picks stop being exact.
     """
-    if n < 1:
-        raise InvalidParams(f"tree size must be >= 1, got {n}")
+    check_size(n)
     if params.chi == -1 and (int(params.rho) - 1) * (n - 1) + 1 > 2**53:
         raise InvalidParams(f"chi = -1 at rho = {params.rho:g}, n = {n} needs over 2^53 slots")
     if params.chi == 0:
@@ -369,8 +388,7 @@ def simulate_cmj(
     exact state then.  With no horizon and stripped of birth times, the
     tree is distributed exactly as ``sample_pa_tree(params, n)``.
     """
-    if n < 1:
-        raise InvalidParams(f"tree size must be >= 1, got {n}")
+    check_size(n)
     if not horizon >= 0:  # also catches NaN
         raise InvalidParams(f"horizon must be >= 0, got {horizon}")
     rho, chi = params.rho, params.chi

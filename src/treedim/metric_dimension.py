@@ -15,7 +15,7 @@ tested against each vertex pair's mask of separating landmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -26,14 +26,43 @@ BRUTE_FORCE_CAP = 16
 _SCAN_ROWS = 4096  # subsets tested at once: about 1 MB of scratch at n = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MDReport:
-    """Leaves, exterior major vertices, and the resulting metric dimension."""
+    """Leaves, exterior major vertices, and the resulting metric dimension.
 
-    leaves: tuple[int, ...]
-    exterior_major: tuple[int, ...]
+    ``leaf_mask`` and ``exterior_mask`` flag the vertices in read-only
+    arrays; ``leaves`` and ``exterior_major`` list them in ascending order
+    and are built when first read.  Two reports are equal when those two
+    tuples, ``beta`` and ``is_path`` are.
+    """
+
+    leaf_mask: np.ndarray
+    exterior_mask: np.ndarray
     beta: int
     is_path: bool
+
+    def __post_init__(self):
+        self.leaf_mask.flags.writeable = False
+        self.exterior_mask.flags.writeable = False
+
+    @cached_property
+    def leaves(self) -> tuple[int, ...]:
+        return tuple(self.leaf_mask.nonzero()[0].tolist())
+
+    @cached_property
+    def exterior_major(self) -> tuple[int, ...]:
+        return tuple(self.exterior_mask.nonzero()[0].tolist())
+
+    def _key(self):
+        return self.leaves, self.exterior_major, self.beta, self.is_path
+
+    def __eq__(self, other):
+        if not isinstance(other, MDReport):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def md_report(tree: RootedTree) -> MDReport:
@@ -50,11 +79,10 @@ def md_report(tree: RootedTree) -> MDReport:
     # A non-root vertex is a leaf with no children, the root with one.
     leaf = outdeg == 0
     leaf[root] = outdeg[root] == 1
-    leaves = tuple(leaf.nonzero()[0].tolist())
     if is_path(tree):
         return MDReport(
-            leaves=leaves,
-            exterior_major=(),
+            leaf_mask=leaf,
+            exterior_mask=np.zeros(tree.n, dtype=bool),
             beta=0 if tree.n == 1 else 1,
             is_path=True,
         )
@@ -65,11 +93,10 @@ def md_report(tree: RootedTree) -> MDReport:
     if top <= 2 and top - top_lines == 1:
         child = ((tree.parents == root) & ~tree.line).nonzero()[0][0]
         exterior[tree.chain_ends[child]] = True
-    exterior_major = tuple(exterior.nonzero()[0].tolist())
     return MDReport(
-        leaves=leaves,
-        exterior_major=exterior_major,
-        beta=len(leaves) - len(exterior_major),
+        leaf_mask=leaf,
+        exterior_mask=exterior,
+        beta=int(np.count_nonzero(leaf)) - int(np.count_nonzero(exterior)),
         is_path=False,
     )
 

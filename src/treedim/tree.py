@@ -63,17 +63,19 @@ class RootedTree:
     def chain_ends(self) -> np.ndarray:
         """For each vertex, the first vertex at or below it whose outdegree
         is not 1, found by pointer doubling down the only-child chains.
+        A round doubles only the vertices whose end still has one child.
         Read-only; ``md_report`` and the line flags share it."""
         parents, outdeg = self.parents, self.outdeg
         only = (outdeg[parents] == 1).nonzero()[0]
         only = only[parents[only] >= 0]  # the root's -1 would index vertex n - 1
         end = np.arange(self.n)
-        end[parents[only]] = only
-        while True:
-            jump = end[end]
-            if (jump == end).all():
-                break
-            end = jump
+        moving = parents[only]
+        end[moving] = only
+        moving = moving[outdeg[only] == 1]
+        while moving.size:
+            jump = end[end[moving]]
+            end[moving] = jump
+            moving = moving[outdeg[jump] == 1]
         end.flags.writeable = False
         return end
 

@@ -474,6 +474,24 @@ class TestBadInput:
         code, out, err = run(capsys, *argv, "-n", "100000000000", "--seed", "1")
         assert code == 2 and out == "" and err == "error: Unable to allocate\n"
 
+    @pytest.mark.parametrize(
+        "model",
+        [("uniform",), ("gw",), ("pa", "--rho", "1", "--chi", "1"), ("cmj", "--rho", "1", "--chi", "1")],
+        ids=["uniform", "gw", "pa", "cmj"],
+    )
+    @pytest.mark.parametrize(
+        "size,message",
+        [
+            ("2305843009213693952", "tree size must be <= 2^53, got 2305843009213693952"),
+            ("0", "tree size must be >= 1, got 0"),
+        ],
+        ids=["2^61", "0"],
+    )
+    def test_size_outside_the_sampler_range(self, capsys, model, size, message):
+        # Refused before any draw, so nothing is allocated.
+        code, out, err = run(capsys, "generate", "--model", *model, "-n", size, "--seed", "1")
+        assert code == 2 and out == "" and err == f"error: {message}\n"
+
     def test_mary_constant_overflow(self, capsys):
         code, _, err = run(capsys, "constant", "--model", "mary", "--m", "200")
         assert code == 2 and "c_mary(200)" in err

@@ -16,10 +16,12 @@ from treedim import (
     PAParams,
     RngSpec,
     count_subtree_property,
+    fringe_size_counts,
     gw_pk_prob,
     h_tail,
     is_pk,
     is_pl,
+    md_report,
     sample_H,
     sample_conditioned_gw,
     sample_pa_tree,
@@ -30,7 +32,7 @@ from treedim import (
 from treedim import generators
 from treedim.errors import InvalidParams, InvalidPmf, TreeStructureError, UnreachableSize
 from treedim.fringe import subtree_sizes
-from treedim.generators import _lukasiewicz_parents, _stable_order
+from treedim.generators import _lukasiewicz_parents, _stable_order, sample_uniform_shape
 from treedim.tree import build_from_parents
 from treedim.verify import EMBEDDING_PARAMS, FIGURE_GRID
 
@@ -140,6 +142,7 @@ SAMPLERS = {
     "gw-poisson": lambda n, rng: sample_conditioned_gw(POISSON, n, rng),
     "gw-geometric": lambda n, rng: sample_conditioned_gw(GEOMETRIC, n, rng),
     "uniform": sample_uniform_tree,
+    "uniform-shape": sample_uniform_shape,
     **{f"pa({rho},{chi})": _pa_sampler(rho, chi) for rho, chi, _, _ in FIGURE_GRID},
     **{f"cmj({rho},{chi})": _cmj_sampler(rho, chi) for rho, chi in EMBEDDING_PARAMS},
 }
@@ -296,6 +299,23 @@ class TestUniformTree:
             stars += max(len(c) + (v != t.root) for v, c in enumerate(t.children)) == 3
         se = math.sqrt(0.25 * 0.75 / trials)
         assert abs(stars / trials - 0.25) <= 3 * se
+
+    @pytest.mark.parametrize("n", [2, 5, 40, 1000])
+    def test_labels_are_drawn_last_and_change_no_statistic(self, n):
+        # From one stream, the labelled tree is the shape under the next
+        # draw, a uniform permutation, and measures the same.
+        spec = RngSpec(11)
+        for i in range(200):
+            rng = spec.stream(i)
+            shape = sample_uniform_shape(n, rng)
+            label = rng.permutation(n)
+            tree = sample_uniform_tree(n, spec.stream(i))
+            assert tree.root == label[0]
+            assert tree.parents[label[1:]].tolist() == label[shape.parents[1:]].tolist()
+            assert md_report(tree).beta == md_report(shape).beta
+            for prop in (is_pl, is_pk):
+                assert count_subtree_property(tree, prop) == count_subtree_property(shape, prop)
+            assert fringe_size_counts(tree) == fringe_size_counts(shape)
 
 
 class TestPATree:
@@ -507,6 +527,25 @@ class TestFringeLLN:
         assert abs(pk - gw_pk_prob(pmf)) <= 0.01
 
 
+class TestSizeRule:
+    @pytest.mark.parametrize(
+        "n,message",
+        [
+            (0, "must be >= 1, got 0"),
+            (2**53 + 1, "must be <= 2\\^53, got 9007199254740993"),
+            (2**61, "must be <= 2\\^53"),
+        ],
+    )
+    def test_out_of_range_refused_before_any_draw(self, n, message):
+        # Refused before numpy is asked for an array of n entries.
+        for name, sampler in SAMPLERS.items():
+            rng = RngSpec(12).stream(0)
+            state = rng.bit_generator.state
+            with pytest.raises(InvalidParams, match=message):
+                sampler(n, rng)
+            assert rng.bit_generator.state == state, name
+
+
 class TestGoldenStreams:
     """sha256 of the serialized trees drawn from ``RngSpec(SEED).stream(n)``
     for each n in SIZES.  A changed digest is a changed stream: update it
@@ -518,6 +557,7 @@ class TestGoldenStreams:
         "gw-poisson": "5ffd39bd1b5e890e63993f6d24ace4a34659c48f55557acc81f86dbf397d56c1",
         "gw-geometric": "816e7abbda4f7fc9f5ad64ebd02c373ff532bffc2c459181d6f44213395f0e6d",
         "uniform": "6c5951f0c27bc1d61fb31cfe93e06ad275e6d20da57fed8ccedf1c547e0c8cf8",
+        "uniform-shape": "2424c8dc73d3b4aa31791111b5c1a01836e80e3cf2b98d5702289cf20876e28f",
         "pa(2.0,-1)": "6297f039791585b4f69e627e08e0ad1a3cb126827ec10259c48d9d8414cc7901",
         "pa(3.0,-1)": "7022795b444f0eb11ad245f337a98d49621ba2ecf18a6643777c3bd1bc9a1a2c",
         "pa(4.0,-1)": "a41053cf3ecfa75d30b9324b738100cba7dde39365716a30fe56f5c6367b8893",

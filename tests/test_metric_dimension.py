@@ -184,6 +184,7 @@ class TestOracleEquivalence:
             for choice in product(*[range(i) for i in range(1, n)]):
                 t = build_from_parents([None, *choice])
                 expected = md_report(t)
+                assert type(expected.beta) is int  # printed in reports as is
                 assert expected.beta == brute_force_md(t)[0]
                 reference = tuple_core.build_from_parents([None, *choice])
                 assert expected == tuple_core.md_report(reference)

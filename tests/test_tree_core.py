@@ -8,6 +8,7 @@ from treedim import (
     RngSpec,
     build_from_parents,
     is_path,
+    md_report,
     parse,
     read_tree,
     sample_uniform_tree,
@@ -291,6 +292,41 @@ class TestIsPath:
         # root in the middle, two hanging chains: still an unrooted path
         t = build_from_parents([None, 0, 0, 1, 2])
         assert is_path(t)
+
+
+def tall(shape: str, length: int) -> list[int | None]:
+    """A chain of ``length`` only-child steps below vertex 0; a broom also
+    hangs three leaves from its end."""
+    return [None, *range(length)] + ([length] * 3 if shape == "broom" else [])
+
+
+class TestChainEnds:
+    """``chain_ends``, the line flags and ``md_report`` on chains at the
+    edges of the doubling rounds: 2^k - 1 steps resolve in k rounds, 2^k
+    and 2^k + 1 in k + 1."""
+
+    @pytest.mark.parametrize("k", [6, 12])
+    @pytest.mark.parametrize("shape", ["path", "broom"])
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_tall_trees_match_tuple_core(self, k, shape, step, shuffled):
+        length = 2**k + step
+        parents = tall(shape, length)
+        n = len(parents)
+        perm = np.random.default_rng([k, n]).permutation(n) if shuffled else np.arange(n)
+        parents = tuple_core.relabel(parents, perm.tolist())
+        # Every root of the small trees; the chain's ends and middle and a
+        # last vertex (a bristle of the broom) for the large ones.
+        roots = range(n) if k == 6 else perm[[0, length // 2, length, n - 1]].tolist()
+        for root in roots:
+            rerooted = tuple_core.reroot(parents, root)
+            t = build_from_parents(rerooted)
+            ref = tuple_core.build_from_parents(rerooted)
+            flags = tuple_core.line_flags(ref)
+            assert t.chain_ends.tolist() == tuple_core.chain_ends(ref), root
+            assert t.line.tolist() == flags, root
+            assert t.line_kids.tolist() == [sum(flags[c] for c in kids) for kids in ref.children]
+            assert md_report(t) == tuple_core.md_report(ref), root
 
 
 class TestSerialization:

@@ -3,12 +3,12 @@ tuples and a breadth-first order, walked by Python loops.
 
 This is the representation ``treedim.tree`` used before the parent array
 became the tree.  The tests compare the array core against it: build
-results and errors, line flags, ``md_report`` and subtree sizes.  Earlier
-loops serve as oracles too: the stack walk that turned depth-first
-outdegrees into parents, ``parse`` with its line comprehension,
-``serialize`` with its per-vertex ``str``, and the metric-dimension search
-that tried every subset from ``itertools.combinations`` over breadth-first
-distance rows.
+results and errors, line flags, chain ends, ``md_report`` and subtree
+sizes.  Earlier loops serve as oracles too: the stack walk that turned
+depth-first outdegrees into parents, ``parse`` with its line
+comprehension, ``serialize`` with its per-vertex ``str``, and the
+metric-dimension search that tried every subset from
+``itertools.combinations`` over breadth-first distance rows.
 """
 
 from __future__ import annotations
@@ -97,18 +97,30 @@ def line_flags(tree: TupleTree) -> list[bool]:
     return flags
 
 
+def chain_ends(tree: TupleTree) -> list[int]:
+    """For each vertex, the first vertex at or below it without exactly one child."""
+    ends = list(range(tree.n))
+    for v in reversed(tree.order):
+        kids = tree.children[v]
+        if len(kids) == 1:
+            ends[v] = ends[kids[0]]
+    return ends
+
+
+def mask(n: int, vertices) -> np.ndarray:
+    """The n flags that are set at ``vertices``, the form ``MDReport`` holds."""
+    flags = np.zeros(n, dtype=bool)
+    flags[list(vertices)] = True
+    return flags
+
+
 def md_report(tree: TupleTree) -> MDReport:
     children, root = tree.children, tree.root
     line = line_flags(tree)
     top = children[root]
-    leaves = tuple(v for v, kids in enumerate(children) if len(kids) == (v == root))
+    leaves = [v for v, kids in enumerate(children) if len(kids) == (v == root)]
     if len(top) <= 2 and all(line[c] for c in top):
-        return MDReport(
-            leaves=leaves,
-            exterior_major=(),
-            beta=0 if tree.n == 1 else 1,
-            is_path=True,
-        )
+        return MDReport(mask(tree.n, leaves), mask(tree.n, ()), 0 if tree.n == 1 else 1, True)
     exterior = {
         v
         for v, kids in enumerate(children)
@@ -120,13 +132,8 @@ def md_report(tree: TupleTree) -> MDReport:
         while len(children[v]) == 1:
             v = children[v][0]
         exterior.add(v)
-    exterior_major = tuple(sorted(exterior))
-    return MDReport(
-        leaves=leaves,
-        exterior_major=exterior_major,
-        beta=len(leaves) - len(exterior_major),
-        is_path=False,
-    )
+    beta = len(leaves) - len(exterior)
+    return MDReport(mask(tree.n, leaves), mask(tree.n, exterior), beta, False)
 
 
 def subtree_sizes(tree: TupleTree) -> list[int]:
