@@ -23,6 +23,7 @@ from .generators import (
     OffspringPmf,
     PAParams,
     RngSpec,
+    check_size,
     sample_conditioned_gw,
     sample_pa_tree,
     sample_uniform_shape,
@@ -150,6 +151,7 @@ class ExperimentConfig:
             raise InvalidParams(f"trials must be >= 1, got {self.trials}")
         if self.n < 2:
             raise InvalidParams(f"tree size must be >= 2, got {self.n}")
+        check_size(self.n)
         if self.statistic not in STATISTICS:
             raise InvalidParams(f"unknown statistic {self.statistic!r}")
         if self.workers < 1:

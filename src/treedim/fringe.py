@@ -8,10 +8,13 @@ away from the root.  Three canonical properties are used throughout:
 * ``is_pk``   -- the vertex has at least two children and at least one
   child's subtree is a line.
 
-The predicates and counters read the tree's cached arrays: outdegrees,
-line flags and line-children counts.  Subtree sizes, and the fringe
-histogram built from them, take one pointer-doubling pass over the parent
-array.
+The predicates and counters read the tree's cached arrays.  ``is_pk`` and
+its count read the pk flags, which mark the parents of the leg tops that
+the tree's leg climb finds (a leg is a leaf and the non-root only children
+above it).  The line count is the legs' size, plus the root when the whole
+tree is a line below it; ``is_line`` reads the line flags, which mark the
+vertices that climb to a leg top.  Subtree sizes, and the fringe histogram
+built from them, take one pointer-doubling pass over the parent array.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .errors import IsPath
 from .metric_dimension import md_report
-from .tree import RootedTree, check_vertex, pk_flags
+from .tree import RootedTree, check_vertex
 
 
 def subtree_sizes(tree: RootedTree) -> np.ndarray:
@@ -60,7 +63,7 @@ def is_pl(tree: RootedTree, v: int) -> bool:
 def is_pk(tree: RootedTree, v: int) -> bool:
     """True iff ``v`` has >= 2 children and some child's subtree is a line."""
     check_vertex(tree, v)
-    return bool(tree.outdeg[v] >= 2 and tree.line_kids[v] > 0)
+    return bool(tree.pk_flags[v])
 
 
 def count_subtree_property(tree: RootedTree, predicate) -> int:
@@ -74,9 +77,10 @@ def count_subtree_property(tree: RootedTree, predicate) -> int:
     if predicate is is_pl:
         return int(np.count_nonzero(tree.outdeg == 0))
     if predicate is is_line:
-        return int(np.count_nonzero(tree.line))
+        # The root heads a line when no vertex has two children.
+        return tree.legs[1] + int(tree.outdeg.max() <= 1)
     if predicate is is_pk:
-        return int(np.count_nonzero(pk_flags(tree)))
+        return int(np.count_nonzero(tree.pk_flags))
     return sum(1 for v in range(tree.n) if predicate(tree, v))
 
 

@@ -20,10 +20,11 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import TooLarge
-from .tree import RootedTree, check_vertex, is_path, pk_flags
+from .tree import RootedTree, check_vertex
 
 BRUTE_FORCE_CAP = 16
 _SCAN_ROWS = 4096  # subsets tested at once: about 1 MB of scratch at n = 16
+_CHAIN_WALK = 8  # longer chains below the root's child read the tree's climb
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,16 +68,21 @@ def md_report(tree: RootedTree) -> MDReport:
 
     A leaf's leg (its path through degree-2 vertices) is a line subtree
     hanging from the leg's major vertex, unless the leg runs through the
-    root.  So the exterior major vertices are the vertices of degree >= 3
-    with a line child, plus, when the root has degree <= 2 and exactly one
-    non-line child, the end of the only-child chain below that child.
-    Each step is an array pass over the parent array.
+    root.  The tree's cached leg climb gives the leg tops, whose parents of
+    outdegree >= 2 are the vertices of degree >= 3 with a line child; the
+    root among them needs a third child to be major.  When the root has
+    degree <= 2 and exactly one non-line child, the end of the only-child
+    chain below that child is exterior major too.  Nothing else reads more
+    than the leaves and their legs: the path test counts leaves, and the
+    chain end is walked down one child at a time for up to eight steps
+    before the tree's ``climb`` is read.
     """
     outdeg, root = tree.outdeg, tree.root
     # A non-root vertex is a leaf with no children, the root with one.
     leaf = outdeg == 0
     leaf[root] = outdeg[root] == 1
-    if is_path(tree):
+    leaves = int(np.count_nonzero(leaf))
+    if tree.n == 1 or leaves == 2:  # the rule of ``is_path``
         return MDReport(
             leaf_mask=leaf,
             exterior_mask=np.zeros(tree.n, dtype=bool),
@@ -84,18 +90,34 @@ def md_report(tree: RootedTree) -> MDReport:
             is_path=True,
         )
 
-    top, top_lines = int(outdeg[root]), int(tree.line_kids[root])
-    exterior = pk_flags(tree)
-    exterior[root] = top >= 3 and top_lines > 0
-    if top <= 2 and top - top_lines == 1:
-        child = ((tree.parents == root) & ~tree.line).nonzero()[0][0]
-        exterior[tree.chain_ends[child]] = True
+    exterior = tree.pk_flags.copy()
+    top = outdeg[root]
+    # Not a path, so a lone child is no line, and of two children with a
+    # line among them the other is none.
+    if top == 1 or (top == 2 and exterior[root]):
+        exterior[root] = False
+        tops = tree.legs[0]
+        lines = tops[tree.parents[tops] == root]
+        kids = (tree.parents == root).nonzero()[0]
+        exterior[_chain_end(tree, int(kids[1] if kids[0] in lines else kids[0]))] = True
     return MDReport(
         leaf_mask=leaf,
         exterior_mask=exterior,
-        beta=int(np.count_nonzero(leaf) - np.count_nonzero(exterior)),
+        beta=leaves - int(np.count_nonzero(exterior)),
         is_path=False,
     )
+
+
+def _chain_end(tree: RootedTree, child: int) -> int:
+    """The first vertex at or below the root's ``child`` whose outdegree is
+    not 1: up to ``_CHAIN_WALK`` steps down, each a scan of the parent
+    array, then the one such vertex whose climb stops at ``child``."""
+    v = child
+    for _ in range(_CHAIN_WALK):
+        if tree.outdeg[v] != 1:
+            return v
+        v = int((tree.parents == v).argmax())
+    return int(((tree.climb == child) & (tree.outdeg != 1)).argmax())
 
 
 def _distances(tree: RootedTree, sources) -> list[int]:

@@ -1,11 +1,14 @@
 """Rooted trees on dense integer vertices, plus the on-disk text format.
 
 Vertices are ``0..n-1``.  Exactly one vertex (the root) has no parent.  A
-tree is its validated parent array; outdegrees, the line-subtree flags and
-children lists are derived from it on first use.  Children lists are in
-ascending vertex index, which for every generator in this package is
-insertion order, so ordered-tree distributions are represented faithfully.
-Instances are immutable after construction.
+tree is its validated parent array; outdegrees, the leaves' legs, the
+line-subtree flags and children lists are derived from it on first use.
+A leaf's leg is the leaf and the non-root only children above it; it is
+found by climbing from the leaf, so Slater's terms cost time in the legs'
+length, not in n.  Children lists are in ascending vertex index, which for
+every generator in this package is insertion order, so ordered-tree
+distributions are represented faithfully.  Instances are immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -33,10 +36,11 @@ class RootedTree:
 
     ``parents[v]`` is the parent of ``v``, or -1 for the root, in a read-only
     int64 array.  Derived on first use and cached: ``outdeg[v]`` counts the
-    children of ``v``; ``chain_ends[v]`` ends the only-child chain below
-    ``v``; ``line[v]`` flags a line subtree below ``v``; ``line_kids[v]``
-    counts the children of ``v`` that head one; ``children[v]`` lists the
-    children in ascending index order.
+    children of ``v``; ``climb[v]`` is where ``v`` stops climbing through
+    non-root only children; ``legs`` climbs from each non-root leaf to the
+    top of its leg; ``pk_flags[v]`` marks a branch vertex with a line child,
+    which is a leg top's parent; ``line[v]`` flags a line subtree below
+    ``v``; ``children[v]`` lists the children in ascending index order.
     Use :func:`build_from_parents` instead of constructing directly.
     """
 
@@ -57,40 +61,94 @@ class RootedTree:
 
     @cached_property
     def outdeg(self) -> np.ndarray:
-        return child_counts(self.parents, self.n)
+        """Read-only; a -1 (the root's parent) counts for no vertex."""
+        counts = np.bincount(self.parents + 1, minlength=self.n + 1)[1:]
+        counts.flags.writeable = False
+        return counts
 
     @cached_property
-    def chain_ends(self) -> np.ndarray:
-        """For each vertex, the first vertex at or below it whose outdegree
-        is not 1, found by pointer doubling down the only-child chains.
-        A round doubles only the vertices whose end still has one child.
-        Read-only; ``md_report`` and the line flags share it."""
-        parents, outdeg = self.parents, self.outdeg
-        only = (outdeg[parents] == 1).nonzero()[0]
-        only = only[parents[only] >= 0]  # the root's -1 would index vertex n - 1
-        end = np.arange(self.n)
-        moving = parents[only]
-        end[moving] = only
-        moving = moving[outdeg[only] == 1]
-        while moving.size:
-            jump = end[end[moving]]
-            end[moving] = jump
-            moving = moving[outdeg[jump] == 1]
-        end.flags.writeable = False
-        return end
+    def climb(self) -> np.ndarray:
+        """For each vertex, the top of its climb: the vertex reached by
+        moving to the parent while the parent is a non-root vertex with one
+        child.  Found by pointer doubling over the vertices that move; a
+        round doubles only those whose top still moves.  Read-only; the
+        legs still climbing after their single steps, the line flags and
+        ``md_report``'s long chains below the root read it."""
+        parents = self.parents
+        link = self.outdeg == 1
+        link[self.root] = False
+        moves = link[parents]
+        moves[self.root] = False  # its -1 would read vertex n - 1
+        steps = moves.nonzero()[0]
+        top = np.arange(self.n)
+        top[steps] = parents[steps]
+        steps = steps[moves[top[steps]]]
+        while steps.size:
+            jump = top[top[steps]]
+            top[steps] = jump
+            steps = steps[moves[jump]]
+        top.flags.writeable = False
+        return top
+
+    @cached_property
+    def legs(self) -> tuple[np.ndarray, int]:
+        """The top of each non-root leaf's leg, in ascending leaf order
+        (read-only), and how many vertices the legs hold together.
+
+        A leg is the leaf's climb, so its top is a line child of a branch
+        vertex or of the root, and the legs' vertices are the non-root line
+        vertices.  The legs climb one step per round; any still climbing
+        after ceil(log2 n) rounds reads its top from ``climb``, so the
+        rounds stay O(log n).
+        """
+        parents, outdeg, n = self.parents, self.outdeg, self.n
+        rounds = (n - 1).bit_length()
+        link = outdeg == 1  # a parent a leg climbs through
+        link[self.root] = False
+        leaf = outdeg == 0
+        leaf[self.root] = False  # a single vertex has no leg
+        tops = leaf.nonzero()[0]
+        size = tops.size
+        moving, at = np.arange(tops.size), tops
+        for _ in range(rounds):
+            up = parents.take(at)
+            go = link.take(up).nonzero()[0]  # faster than boolean indexing
+            moving, at = moving.take(go), up.take(go)
+            if not at.size:
+                break
+            tops[moving] = at
+            size += at.size
+        if at.size:
+            tops[moving] = self.climb[at]
+            # A leg holds its top and every vertex that climbs to it; these
+            # legs were counted up to the vertex they reached in the last round.
+            ends = np.zeros(n, dtype=bool)
+            ends[tops[moving]] = True
+            size += np.count_nonzero(ends[self.climb]) - (rounds + 1) * at.size
+        tops.flags.writeable = False
+        return tops, int(size)
+
+    @cached_property
+    def pk_flags(self) -> np.ndarray:
+        """Does the vertex have at least two children, at least one of
+        which heads a line subtree?  Such a child is a leg top.  Read-only."""
+        flags = np.zeros(self.n, dtype=bool)
+        flags[self.parents.take(self.legs[0])] = True
+        flags &= self.outdeg >= 2
+        flags.flags.writeable = False
+        return flags
 
     @cached_property
     def line(self) -> np.ndarray:
-        """Is the hanging subtree a line (a single vertex counts)?  It is iff
-        the only-child chain below the vertex ends at a leaf.  Read-only."""
-        line = self.outdeg[self.chain_ends] == 0
+        """Is the hanging subtree a line (a single vertex counts)?  It is for
+        the vertices that climb to a leg top, and for the root when no
+        vertex has two children.  Read-only."""
+        ends = np.zeros(self.n, dtype=bool)
+        ends[self.legs[0]] = True
+        line = ends[self.climb]
+        line[self.root] = self.outdeg.max() <= 1
         line.flags.writeable = False
         return line
-
-    @cached_property
-    def line_kids(self) -> np.ndarray:
-        """For each vertex, how many of its children head a line subtree."""
-        return child_counts(self.parents[self.line], self.n)
 
     @cached_property
     def children(self) -> tuple[tuple[int, ...], ...]:
@@ -99,14 +157,6 @@ class RootedTree:
             if p >= 0:
                 kids[p].append(v)
         return tuple(map(tuple, kids))
-
-
-def child_counts(parents: np.ndarray, n: int) -> np.ndarray:
-    """How many of the vertices with these ``parents`` hang below each of
-    ``0..n-1``; a -1 (the root's parent) counts for no vertex."""
-    counts = np.bincount(parents + 1, minlength=n + 1)[1:]
-    counts.flags.writeable = False
-    return counts
 
 
 def build_from_parents(parents) -> RootedTree:
@@ -196,16 +246,12 @@ def check_vertex(tree: RootedTree, v: int) -> None:
 def is_path(tree: RootedTree) -> bool:
     """True iff the underlying unrooted graph is a path (single vertex counts).
 
-    It is iff the root has at most two children and each heads a line.
+    It is iff n == 1 or the tree has exactly two leaves: the childless
+    non-root vertices, plus the root when it has one child.
     """
-    top = int(tree.outdeg[tree.root])
-    return top <= 2 and int(tree.line_kids[tree.root]) == top
-
-
-def pk_flags(tree: RootedTree) -> np.ndarray:
-    """Per-vertex flag, a fresh array: does the vertex have at least two
-    children, at least one of which heads a line subtree?"""
-    return (tree.outdeg >= 2) & (tree.line_kids > 0)
+    outdeg = tree.outdeg
+    leaves = int(np.count_nonzero(outdeg == 0)) + int(outdeg[tree.root] == 1)
+    return tree.n == 1 or leaves == 2
 
 
 def serialize(tree: RootedTree) -> str:

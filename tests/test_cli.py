@@ -492,6 +492,24 @@ class TestBadInput:
         code, out, err = run(capsys, "generate", "--model", *model, "-n", size, "--seed", "1")
         assert code == 2 and out == "" and err == f"error: {message}\n"
 
+    def test_experiment_size_refused_before_any_work(self, capsys, monkeypatch):
+        # The config refuses the size: no reference constant, no worker pool.
+        def fail(*args):
+            raise AssertionError("reached past the size check")
+
+        for target in (
+            "treedim.cli.default_reference",
+            "treedim.experiments.default_reference",
+            "treedim.experiments.ProcessPoolExecutor",
+        ):
+            monkeypatch.setattr(target, fail)
+        code, out, err = run(
+            capsys, "experiment", "--model", "uniform", "-n", "2305843009213693952",
+            "--trials", "4", "--seed", "1", "--threads", "2",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: tree size must be <= 2^53, got 2305843009213693952\n"
+
     def test_mary_constant_overflow(self, capsys):
         code, _, err = run(capsys, "constant", "--model", "mary", "--m", "200")
         assert code == 2 and "c_mary(200)" in err

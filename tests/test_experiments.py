@@ -50,6 +50,11 @@ class TestConfig:
         with pytest.raises(InvalidParams):
             small_config(model=object())
 
+    @pytest.mark.parametrize("n", [2**53 + 1, 2**61])
+    def test_size_beyond_the_sampler_range(self, n):
+        with pytest.raises(InvalidParams, match=rf"tree size must be <= 2\^53, got {n}$"):
+            small_config(n=n)
+
 
 class TestReferences:
     def test_bst(self):

@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 from treedim import (
     RngSpec,
     build_from_parents,
+    count_subtree_property,
+    is_line,
     is_path,
+    is_pk,
+    is_pl,
     md_report,
     parse,
     read_tree,
@@ -301,7 +305,7 @@ def tall(shape: str, length: int) -> list[int | None]:
 
 
 class TestChainEnds:
-    """``chain_ends``, the line flags and ``md_report`` on chains at the
+    """The climb, the line and pk flags and ``md_report`` on chains at the
     edges of the doubling rounds: 2^k - 1 steps resolve in k rounds, 2^k
     and 2^k + 1 in k + 1."""
 
@@ -323,10 +327,69 @@ class TestChainEnds:
             t = build_from_parents(rerooted)
             ref = tuple_core.build_from_parents(rerooted)
             flags = tuple_core.line_flags(ref)
-            assert t.chain_ends.tolist() == tuple_core.chain_ends(ref), root
+            assert t.climb.tolist() == tuple_core.climb(ref), root
             assert t.line.tolist() == flags, root
-            assert t.line_kids.tolist() == [sum(flags[c] for c in kids) for kids in ref.children]
+            assert t.pk_flags.tolist() == tuple_core.pk_flags(ref), root
             assert md_report(t) == tuple_core.md_report(ref), root
+
+
+def spider(legs) -> list[int | None]:
+    """Legs of the given numbers of only-child steps below centre vertex 0."""
+    parents: list[int | None] = [None]
+    for length in legs:
+        parents += [0, *range(len(parents), len(parents) + length - 1)]
+    return parents
+
+
+def assert_legs_match(parents, root: int) -> None:
+    """``md_report``, the leg climb, the flags and the counts on a fresh
+    tree rooted at ``root``, against tuple_core."""
+    rerooted = tuple_core.reroot(parents, root)
+    t = build_from_parents(rerooted)
+    ref = tuple_core.build_from_parents(rerooted)
+    flags = tuple_core.line_flags(ref)
+    pk = tuple_core.pk_flags(ref)
+    assert md_report(t) == tuple_core.md_report(ref), root
+    assert count_subtree_property(t, is_pl) == sum(not kids for kids in ref.children)
+    assert count_subtree_property(t, is_pk) == sum(pk), root
+    assert count_subtree_property(t, is_line) == sum(flags), root
+    assert "line" not in t.__dict__  # nothing above needs every line flag
+    tops, size = t.legs
+    assert (tops.tolist(), size) == tuple_core.legs(ref), root
+    assert t.pk_flags.tolist() == pk, root
+    assert t.line.tolist() == flags, root
+
+
+class TestLegs:
+    """The leg climb on spiders: single steps for ceil(log2 n) rounds, then
+    pointer doubling for the legs still climbing."""
+
+    @pytest.mark.parametrize("k", [6, 12])
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_tall_spiders_match_tuple_core(self, k, shuffled):
+        # Legs of 2^k - 1, 2^k and 2^k + 1 steps: k, k + 1 and k + 1
+        # doubling rounds once rerooted at the centre.
+        lengths = [2**k - 1, 2**k, 2**k + 1]
+        parents = spider(lengths)
+        n = len(parents)
+        perm = np.random.default_rng([k, n]).permutation(n) if shuffled else np.arange(n)
+        parents = tuple_core.relabel(parents, perm.tolist())
+        # Every root at k = 6; at k = 12 the centre, the last leg's end and
+        # the first leg's middle.
+        roots = range(n) if k == 6 else perm[[0, n - 1, lengths[0] // 2]].tolist()
+        for root in roots:
+            assert_legs_match(parents, root)
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_every_leg_length_around_the_switch(self, shuffled):
+        # Legs of 1..12 steps: n = 79, so legs stop before, at and after
+        # the ceil(log2 n) = 7 single-step rounds.
+        parents = spider(range(1, 13))
+        n = len(parents)
+        if shuffled:
+            parents = tuple_core.relabel(parents, np.random.default_rng(n).permutation(n).tolist())
+        for root in range(n):
+            assert_legs_match(parents, root)
 
 
 class TestSerialization:

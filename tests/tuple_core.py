@@ -3,8 +3,8 @@ tuples and a breadth-first order, walked by Python loops.
 
 This is the representation ``treedim.tree`` used before the parent array
 became the tree.  The tests compare the array core against it: build
-results and errors, line flags, chain ends, ``md_report`` and subtree
-sizes.  Earlier loops serve as oracles too: the stack walk that turned
+results and errors, line flags, climbs, leg tops, pk flags,
+``md_report`` and subtree sizes.  Earlier loops serve as oracles too: the stack walk that turned
 depth-first outdegrees into parents, ``parse`` with its line
 comprehension, ``serialize`` with its per-vertex ``str``, and the
 metric-dimension search that tried every subset from
@@ -97,14 +97,37 @@ def line_flags(tree: TupleTree) -> list[bool]:
     return flags
 
 
-def chain_ends(tree: TupleTree) -> list[int]:
-    """For each vertex, the first vertex at or below it without exactly one child."""
-    ends = list(range(tree.n))
-    for v in reversed(tree.order):
-        kids = tree.children[v]
-        if len(kids) == 1:
-            ends[v] = ends[kids[0]]
-    return ends
+def climb(tree: TupleTree) -> list[int]:
+    """For each vertex, where it stops moving to its parent: at the root's
+    children and below vertices that do not have exactly one child."""
+    tops = list(range(tree.n))
+    for v in tree.order:
+        p = tree.parents[v]
+        if p is not None and p != tree.root and len(tree.children[p]) == 1:
+            tops[v] = tops[p]
+    return tops
+
+
+def pk_flags(tree: TupleTree) -> list[bool]:
+    """At least two children, at least one of them heading a line."""
+    line = line_flags(tree)
+    return [len(kids) >= 2 and any(line[c] for c in kids) for kids in tree.children]
+
+
+def legs(tree: TupleTree) -> tuple[list[int], int]:
+    """The top of each non-root leaf's leg, in ascending leaf order, and the
+    legs' vertex count: climb one parent at a time while that parent is not
+    the root and has one child."""
+    tops, size = [], 0
+    for v, kids in enumerate(tree.children):
+        if kids or v == tree.root:
+            continue
+        size += 1
+        while tree.parents[v] != tree.root and len(tree.children[tree.parents[v]]) == 1:
+            v = tree.parents[v]
+            size += 1
+        tops.append(v)
+    return tops, size
 
 
 def mask(n: int, vertices) -> np.ndarray:
