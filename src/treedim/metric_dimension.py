@@ -96,10 +96,9 @@ def md_report(tree: RootedTree) -> MDReport:
     # line among them the other is none.
     if top == 1 or (top == 2 and exterior[root]):
         exterior[root] = False
-        tops = tree.legs[0]
-        lines = tops[tree.parents[tops] == root]
         kids = (tree.parents == root).nonzero()[0]
-        exterior[_chain_end(tree, int(kids[1] if kids[0] in lines else kids[0]))] = True
+        child = kids[1] if kids[0] in tree.legs[0] else kids[0]  # a line child is a leg top
+        exterior[_chain_end(tree, int(child))] = True
     return MDReport(
         leaf_mask=leaf,
         exterior_mask=exterior,

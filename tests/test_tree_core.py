@@ -362,7 +362,7 @@ def assert_legs_match(parents, root: int) -> None:
 
 class TestLegs:
     """The leg climb on spiders: single steps for ceil(log2 n) rounds, then
-    pointer doubling for the legs still climbing."""
+    the doubled ``climb`` for the legs still climbing."""
 
     @pytest.mark.parametrize("k", [6, 12])
     @pytest.mark.parametrize("shuffled", [False, True])

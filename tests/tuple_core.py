@@ -4,9 +4,9 @@ tuples and a breadth-first order, walked by Python loops.
 This is the representation ``treedim.tree`` used before the parent array
 became the tree.  The tests compare the array core against it: build
 results and errors, line flags, climbs, leg tops, pk flags,
-``md_report`` and subtree sizes.  Earlier loops serve as oracles too: the stack walk that turned
-depth-first outdegrees into parents, ``parse`` with its line
-comprehension, ``serialize`` with its per-vertex ``str``, and the
+``md_report`` and subtree sizes.  Earlier loops serve as oracles too: the
+stack walk that turned depth-first outdegrees into parents, ``parse`` with
+its line comprehension, ``serialize`` with its per-vertex ``str``, and the
 metric-dimension search that tried every subset from
 ``itertools.combinations`` over breadth-first distance rows.
 """
