@@ -25,7 +25,6 @@ from .experiments import (
     UniformModel,
     check_tolerance,
     compare_to_constant,
-    default_reference,
     export,
     run_experiment,
 )
@@ -189,7 +188,7 @@ def _cmd_experiment(args) -> int:
         statistic=args.stat,
         workers=_threads(args.threads),
     )
-    if args.compare and default_reference(config) is None:
+    if args.compare and config.reference is None:
         raise TreedimError("no reference constant exists for this configuration")
     summary = run_experiment(config)
     if args.out:

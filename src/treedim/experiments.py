@@ -14,7 +14,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 from .constants import c_general, c_gw, gw_pk_prob, p_leaf
 from .errors import DomainError, InvalidParams, Unsupported
@@ -157,6 +157,11 @@ class ExperimentConfig:
         if self.workers < 1:
             raise InvalidParams(f"workers must be >= 1, got {self.workers}")
 
+    @cached_property
+    def reference(self) -> float | None:
+        """``default_reference(self)``, looked up and evaluated on first read."""
+        return default_reference(self)
+
 
 @dataclass(frozen=True)
 class ExperimentSummary:
@@ -216,7 +221,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     reduction whatever the worker count, so two runs with the same config
     agree bit for bit.
     """
-    reference = default_reference(config)
+    reference = config.reference
     # The executor forks every worker up front, so there are never more
     # than there are trials or cores.
     workers = min(config.workers, config.trials, os.cpu_count() or 1)

@@ -8,13 +8,14 @@ away from the root.  Three canonical properties are used throughout:
 * ``is_pk``   -- the vertex has at least two children and at least one
   child's subtree is a line.
 
-The predicates and counters read the tree's cached arrays.  ``is_pk`` and
-its count read the pk flags, which mark the parents of the leg tops that
-the tree's leg climb finds (a leg is a leaf and the non-root only children
-above it).  The line count is the legs' size, plus the root when the whole
-tree is a line below it; ``is_line`` reads the line flags, which mark the
-vertices that climb to a leg top.  Subtree sizes, and the fringe histogram
-built from them, take one pointer-doubling pass over the parent array.
+The predicates and counters read the tree's cached arrays, all derived
+from its one ``climb`` up the only-child chains: a leg (a leaf and the
+non-root only children above it) tops out at the leaf's climb.  ``is_pk``
+and its count read the pk flags, which mark the leg tops' parents with two
+or more children; ``is_line`` and the line count read the line flags, which
+mark the vertices that climb to a leg top, plus the root when the whole
+tree is a line below it.  Subtree sizes, and the fringe histogram built
+from them, take one pointer-doubling pass over the parent array.
 """
 
 from __future__ import annotations
@@ -77,8 +78,7 @@ def count_subtree_property(tree: RootedTree, predicate) -> int:
     if predicate is is_pl:
         return int(np.count_nonzero(tree.outdeg == 0))
     if predicate is is_line:
-        # The root heads a line when no vertex has two children.
-        return tree.legs[1] + int(tree.outdeg.max() <= 1)
+        return int(np.count_nonzero(tree.line))
     if predicate is is_pk:
         return int(np.count_nonzero(tree.pk_flags))
     return sum(1 for v in range(tree.n) if predicate(tree, v))

@@ -24,7 +24,6 @@ from .tree import RootedTree, check_vertex
 
 BRUTE_FORCE_CAP = 16
 _SCAN_ROWS = 4096  # subsets tested at once: about 1 MB of scratch at n = 16
-_CHAIN_WALK = 8  # longer chains below the root's child read the tree's climb
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,14 +67,13 @@ def md_report(tree: RootedTree) -> MDReport:
 
     A leaf's leg (its path through degree-2 vertices) is a line subtree
     hanging from the leg's major vertex, unless the leg runs through the
-    root.  The tree's cached leg climb gives the leg tops, whose parents of
+    root.  The tree's cached ``climb`` gives the leg tops, whose parents of
     outdegree >= 2 are the vertices of degree >= 3 with a line child; the
     root among them needs a third child to be major.  When the root has
     degree <= 2 and exactly one non-line child, the end of the only-child
-    chain below that child is exterior major too.  Nothing else reads more
-    than the leaves and their legs: the path test counts leaves, and the
-    chain end is walked down one child at a time for up to eight steps
-    before the tree's ``climb`` is read.
+    chain below that child is exterior major too: the one vertex of
+    outdegree >= 2 whose climb stops at a child of the root.  The path
+    test counts leaves.
     """
     outdeg, root = tree.outdeg, tree.root
     # A non-root vertex is a leaf with no children, the root with one.
@@ -96,27 +94,13 @@ def md_report(tree: RootedTree) -> MDReport:
     # line among them the other is none.
     if top == 1 or (top == 2 and exterior[root]):
         exterior[root] = False
-        kids = (tree.parents == root).nonzero()[0]
-        child = kids[1] if kids[0] in tree.legs[0] else kids[0]  # a line child is a leg top
-        exterior[_chain_end(tree, int(child))] = True
+        exterior |= (tree.parents == root)[tree.climb] & (outdeg >= 2)  # the chain end
     return MDReport(
         leaf_mask=leaf,
         exterior_mask=exterior,
         beta=leaves - int(np.count_nonzero(exterior)),
         is_path=False,
     )
-
-
-def _chain_end(tree: RootedTree, child: int) -> int:
-    """The first vertex at or below the root's ``child`` whose outdegree is
-    not 1: up to ``_CHAIN_WALK`` steps down, each a scan of the parent
-    array, then the one such vertex whose climb stops at ``child``."""
-    v = child
-    for _ in range(_CHAIN_WALK):
-        if tree.outdeg[v] != 1:
-            return v
-        v = int((tree.parents == v).argmax())
-    return int(((tree.climb == child) & (tree.outdeg != 1)).argmax())
 
 
 def _distances(tree: RootedTree, sources) -> list[int]:
@@ -149,10 +133,11 @@ def is_resolving(tree: RootedTree, candidate) -> bool:
     vertex, i.e. the n columns of the candidates' distance rows are
     pairwise distinct.  An empty set resolves only a single vertex."""
     n = tree.n
-    verts = sorted({int(v) for v in candidate})
-    for v in verts:
-        check_vertex(tree, v)
-    flat = _distances(tree, verts)
+    verts = set()
+    for v in candidate:
+        check_vertex(tree, v)  # before ``int`` could make a vertex of it
+        verts.add(int(v))
+    flat = _distances(tree, sorted(verts))
     return len({tuple(flat[u::n]) for u in range(n)}) == n
 
 

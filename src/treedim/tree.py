@@ -1,14 +1,14 @@
 """Rooted trees on dense integer vertices, plus the on-disk text format.
 
 Vertices are ``0..n-1``.  Exactly one vertex (the root) has no parent.  A
-tree is its validated parent array; outdegrees, the leaves' legs, the
-line-subtree flags and children lists are derived from it on first use.
-A leaf's leg is the leaf and the non-root only children above it; it is
-found by climbing from the leaf, so Slater's terms cost time in the legs'
-length, not in n.  Children lists are in ascending vertex index, which for
-every generator in this package is insertion order, so ordered-tree
-distributions are represented faithfully.  Instances are immutable after
-construction.
+tree is its validated parent array; outdegrees, each vertex's climb up the
+only-child chains, the leaves' leg tops, the line-subtree flags and
+children lists are derived from it on first use.  A leaf's leg is the leaf
+and the non-root only children above it, so its top is the leaf's climb:
+the climb is the one pass that follows only-child chains, and every
+Slater term comes from it.  Children lists are in ascending vertex index,
+which for every generator in this package is insertion order, so
+ordered-tree distributions are represented faithfully.  Trees are immutable.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class RootedTree:
     ``parents[v]`` is the parent of ``v``, or -1 for the root, in a read-only
     int64 array.  Derived on first use and cached: ``outdeg[v]`` counts the
     children of ``v``; ``climb[v]`` is where ``v`` stops climbing through
-    non-root only children; ``legs`` climbs from each non-root leaf to the
+    non-root only children; ``legs`` is the climb of each non-root leaf, the
     top of its leg; ``pk_flags[v]`` marks a branch vertex with a line child,
     which is a leg top's parent; ``line[v]`` flags a line subtree below
     ``v``; ``children[v]`` lists the children in ascending index order.
@@ -70,10 +70,10 @@ class RootedTree:
     def climb(self) -> np.ndarray:
         """For each vertex, the top of its climb: the vertex reached by
         moving to the parent while the parent is a non-root vertex with one
-        child.  Found by pointer doubling over the vertices that move; a
-        round doubles only those whose top still moves.  Read-only; the
-        legs still climbing after their single steps, the line flags and
-        ``md_report``'s long chains below the root read it."""
+        child; the one pass here that follows only-child chains.  The movers'
+        first step is selected by ``nonzero`` (they are sparse and scattered);
+        pointer doubling then keeps those whose top still moves by a boolean
+        mask (on tall chains most do).  Read-only."""
         parents = self.parents
         link = self.outdeg == 1
         link[self.root] = False
@@ -81,8 +81,9 @@ class RootedTree:
         moves[self.root] = False  # its -1 would read vertex n - 1
         steps = moves.nonzero()[0]
         top = np.arange(self.n)
-        top[steps] = parents[steps]
-        steps = steps[moves[top[steps]]]
+        up = parents.take(steps)
+        top[steps] = up
+        steps = steps.take(moves.take(up).nonzero()[0])
         while steps.size:
             jump = top[top[steps]]
             top[steps] = jump
@@ -91,49 +92,22 @@ class RootedTree:
         return top
 
     @cached_property
-    def legs(self) -> tuple[np.ndarray, int]:
-        """The top of each non-root leaf's leg, in ascending leaf order
-        (read-only), and how many vertices the legs hold together.
-
-        A leg is the leaf's climb, so its top is a line child of a branch
-        vertex or of the root, and the legs' vertices are the non-root line
-        vertices.  The legs climb one step per round; any still climbing
-        after ceil(log2 n) rounds reads its top from ``climb``, so the
-        rounds stay O(log n).
-        """
-        parents, outdeg, n = self.parents, self.outdeg, self.n
-        rounds = (n - 1).bit_length()
-        link = outdeg == 1  # a parent a leg climbs through
-        link[self.root] = False
-        leaf = outdeg == 0
+    def legs(self) -> np.ndarray:
+        """The top of each non-root leaf's leg, its ``climb``, in ascending
+        leaf order (read-only).  A leg top is a line child of a branch vertex
+        or of the root, and the line vertices are those that climb to one."""
+        leaf = self.outdeg == 0
         leaf[self.root] = False  # a single vertex has no leg
-        tops = leaf.nonzero()[0]
-        size = tops.size
-        moving, at = np.arange(tops.size), tops
-        for _ in range(rounds):
-            up = parents.take(at)
-            go = link.take(up).nonzero()[0]  # faster than boolean indexing
-            moving, at = moving.take(go), up.take(go)
-            if not at.size:
-                break
-            tops[moving] = at
-            size += at.size
-        if at.size:
-            tops[moving] = self.climb[at]
-            # A leg holds its top and every vertex that climbs to it; these
-            # legs were counted up to the vertex they reached in the last round.
-            ends = np.zeros(n, dtype=bool)
-            ends[tops[moving]] = True
-            size += np.count_nonzero(ends[self.climb]) - (rounds + 1) * at.size
+        tops = self.climb.take(leaf.nonzero()[0])
         tops.flags.writeable = False
-        return tops, int(size)
+        return tops
 
     @cached_property
     def pk_flags(self) -> np.ndarray:
         """Does the vertex have at least two children, at least one of
         which heads a line subtree?  Such a child is a leg top.  Read-only."""
         flags = np.zeros(self.n, dtype=bool)
-        flags[self.parents.take(self.legs[0])] = True
+        flags[self.parents.take(self.legs)] = True
         flags &= self.outdeg >= 2
         flags.flags.writeable = False
         return flags
@@ -144,7 +118,7 @@ class RootedTree:
         the vertices that climb to a leg top, and for the root when no
         vertex has two children.  Read-only."""
         ends = np.zeros(self.n, dtype=bool)
-        ends[self.legs[0]] = True
+        ends[self.legs] = True
         line = ends[self.climb]
         line[self.root] = self.outdeg.max() <= 1
         line.flags.writeable = False
@@ -239,8 +213,9 @@ def build_from_parents(parents) -> RootedTree:
 
 
 def check_vertex(tree: RootedTree, v: int) -> None:
-    if not 0 <= v < tree.n:
-        raise VertexOutOfRange(f"vertex {v} outside 0..{tree.n - 1}")
+    """Refuse anything but a Python or numpy integer (not a bool) in range."""
+    if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or not 0 <= v < tree.n:
+        raise VertexOutOfRange(f"vertex {v!r} outside 0..{tree.n - 1}")
 
 
 def is_path(tree: RootedTree) -> bool:

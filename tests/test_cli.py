@@ -1,9 +1,11 @@
 import hashlib
+from collections import Counter
 
 import pytest
 
 from treedim import build_from_parents, write_tree
 from treedim.cli import main
+from treedim.experiments import PAModel, default_reference
 
 
 def run(capsys, *argv):
@@ -272,6 +274,29 @@ class TestExperiment:
         assert code == 2 and out == ""
         assert err == "error: no reference constant exists for this configuration\n"
 
+    def test_compare_evaluates_the_reference_once(self, capsys, monkeypatch):
+        # Counted at the name the config looks up and where the constant is
+        # evaluated, so a second evaluation through any import shows.
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(
+            "treedim.experiments.default_reference",
+            counting("default_reference", default_reference),
+        )
+        monkeypatch.setattr(PAModel, "limit", counting("limit", PAModel.limit))
+        code, out, _ = run(
+            capsys, "experiment", "--model", "pa", "--rho", "2", "--chi", "-1",
+            "-n", "20", "--trials", "2", "--seed", "1", "--compare", "--tol", "1",
+        )
+        assert code == 0 and "compare: " in out
+        assert calls == {"default_reference": 1, "limit": 1}
+
     def test_compare_failure_sets_exit_code(self, capsys):
         code, out, _ = run(
             capsys, "experiment", "--model", "uniform", "-n", "50", "--trials", "5",
@@ -498,7 +523,6 @@ class TestBadInput:
             raise AssertionError("reached past the size check")
 
         for target in (
-            "treedim.cli.default_reference",
             "treedim.experiments.default_reference",
             "treedim.experiments.ProcessPoolExecutor",
         ):

@@ -18,7 +18,7 @@ from treedim import (
     md_report,
     sample_uniform_tree,
 )
-from treedim.errors import IsPath
+from treedim.errors import IsPath, VertexOutOfRange
 from treedim.fringe import subtree_sizes
 
 
@@ -58,6 +58,12 @@ class TestPredicates:
     def test_pl_is_single_vertex_only(self):
         t = chain(3)
         assert not is_pl(t, 0) and not is_pl(t, 1)
+
+    @pytest.mark.parametrize("predicate", [is_pl, is_line, is_pk], ids=lambda p: p.__name__)
+    @pytest.mark.parametrize("v", [-1, 4, 1.5, True, "1"], ids=repr)
+    def test_vertex_must_be_an_integer_in_range(self, predicate, v):
+        with pytest.raises(VertexOutOfRange):
+            predicate(build_from_parents([None, 0, 0, 1]), v)
 
 
 class TestCounts:

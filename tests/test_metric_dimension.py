@@ -86,8 +86,10 @@ class TestResolving:
         assert not is_resolving(chain(2), set())
 
     def test_out_of_range(self):
-        with pytest.raises(VertexOutOfRange):
-            is_resolving(chain(3), {7})
+        # Checked before conversion: 1.5 is not vertex 1, "2" not vertex 2.
+        for candidate in ({7}, {1.5}, {"2"}, {True, 2}):
+            with pytest.raises(VertexOutOfRange):
+                is_resolving(chain(3), candidate)
 
 
 class TestBruteForce:

@@ -342,7 +342,7 @@ def spider(legs) -> list[int | None]:
 
 
 def assert_legs_match(parents, root: int) -> None:
-    """``md_report``, the leg climb, the flags and the counts on a fresh
+    """``md_report``, the leg tops, the flags and the counts on a fresh
     tree rooted at ``root``, against tuple_core."""
     rerooted = tuple_core.reroot(parents, root)
     t = build_from_parents(rerooted)
@@ -353,16 +353,17 @@ def assert_legs_match(parents, root: int) -> None:
     assert count_subtree_property(t, is_pl) == sum(not kids for kids in ref.children)
     assert count_subtree_property(t, is_pk) == sum(pk), root
     assert count_subtree_property(t, is_line) == sum(flags), root
-    assert "line" not in t.__dict__  # nothing above needs every line flag
-    tops, size = t.legs
-    assert (tops.tolist(), size) == tuple_core.legs(ref), root
+    leaves = [v for v, kids in enumerate(ref.children) if not kids and v != ref.root]
+    assert t.legs.tolist() == t.climb[leaves].tolist() == tuple_core.legs(ref), root
     assert t.pk_flags.tolist() == pk, root
     assert t.line.tolist() == flags, root
 
 
 class TestLegs:
-    """The leg climb on spiders: single steps for ceil(log2 n) rounds, then
-    the doubled ``climb`` for the legs still climbing."""
+    """The leg tops (each non-root leaf's ``climb``), the flags, the counts
+    and ``md_report`` on spiders whose legs stop on either side of the
+    doubling rounds' edges.  The switch in a test name is the seventh round,
+    where an earlier climb moved from single steps to doubling."""
 
     @pytest.mark.parametrize("k", [6, 12])
     @pytest.mark.parametrize("shuffled", [False, True])
@@ -382,8 +383,9 @@ class TestLegs:
 
     @pytest.mark.parametrize("shuffled", [False, True])
     def test_every_leg_length_around_the_switch(self, shuffled):
-        # Legs of 1..12 steps: n = 79, so legs stop before, at and after
-        # the ceil(log2 n) = 7 single-step rounds.
+        # Legs of 1..12 vertices, n = 79: from the centre the leaves climb
+        # 0..11 steps, so they stop without a step, at the first step and
+        # in each of four doubling rounds.
         parents = spider(range(1, 13))
         n = len(parents)
         if shuffled:

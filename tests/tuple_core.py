@@ -114,20 +114,18 @@ def pk_flags(tree: TupleTree) -> list[bool]:
     return [len(kids) >= 2 and any(line[c] for c in kids) for kids in tree.children]
 
 
-def legs(tree: TupleTree) -> tuple[list[int], int]:
-    """The top of each non-root leaf's leg, in ascending leaf order, and the
-    legs' vertex count: climb one parent at a time while that parent is not
-    the root and has one child."""
-    tops, size = [], 0
+def legs(tree: TupleTree) -> list[int]:
+    """The top of each non-root leaf's leg, in ascending leaf order: climb
+    one parent at a time while that parent is not the root and has one
+    child."""
+    tops = []
     for v, kids in enumerate(tree.children):
         if kids or v == tree.root:
             continue
-        size += 1
         while tree.parents[v] != tree.root and len(tree.children[tree.parents[v]]) == 1:
             v = tree.parents[v]
-            size += 1
         tops.append(v)
-    return tops, size
+    return tops
 
 
 def mask(n: int, vertices) -> np.ndarray:
