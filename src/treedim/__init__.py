@@ -65,7 +65,6 @@ from .quadrature import QuadratureSpec, adaptive_simpson
 from .tree import (
     RootedTree,
     build_from_parents,
-    is_path,
     parse,
     read_tree,
     serialize,

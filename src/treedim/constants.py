@@ -316,8 +316,8 @@ def q_line_prob(rho: float, chi: int, x: float) -> float:
     density proportional to e^{chi y} on [0, x]); the line survives while
     no vertex on its spine has produced a second child.
     """
-    if not x > 0:
-        raise DomainError(f"q_line_prob requires x > 0, got {x}")
+    if not 0 < x < math.inf:  # also catches NaN
+        raise DomainError(f"q_line_prob requires 0 < x < inf, got {x}")
     _check_evaluable(rho, chi)
     if chi == 0:
         return math.expm1(-math.expm1(-x)) / x
@@ -332,9 +332,9 @@ def h_tail(lam: float, nu: float, t: float) -> float:
 
     Closed form: exp(-lam t + (lam/nu)(1 - e^{-nu t})).
     """
-    if not (lam > 0 and nu > 0):
-        raise DomainError(f"h_tail requires positive rates, got ({lam}, {nu})")
-    if t < 0:
+    if not (0 < lam < math.inf and 0 < nu < math.inf):
+        raise DomainError(f"h_tail requires finite positive rates, got ({lam}, {nu})")
+    if not t >= 0:  # also catches NaN
         raise DomainError(f"h_tail requires t >= 0, got {t}")
     return math.exp(-lam * t - (lam / nu) * math.expm1(-nu * t))
 
@@ -348,9 +348,7 @@ def pk_given_x(rho: float, chi: int, x: float) -> float:
     for chi = -1.  Valid because the children's subtrees evolve
     independently given the horizon.
     """
-    if not x > 0:
-        raise DomainError(f"pk_given_x requires x > 0, got {x}")
-    q = q_line_prob(rho, chi, x)
+    q = q_line_prob(rho, chi, x)  # refuses x outside (0, inf)
     z = 1.0 - q
     if chi == 0:
         g = math.exp(-x * (1.0 - z))

@@ -87,32 +87,30 @@ class OffspringPmf:
             raise InvalidPmf(f"offspring mean {self.mean!r} is not 1 within 1e-09")
 
     @classmethod
-    def from_probs(cls, probs, renormalize: bool = False) -> "OffspringPmf":
-        probs = [float(p) for p in probs]
-        if renormalize:
-            total = math.fsum(probs)
-            if total <= 0:
-                raise InvalidPmf("cannot renormalize a zero vector")
-            probs = [p / total for p in probs]
-        return cls(tuple(probs))
+    def from_probs(cls, probs) -> "OffspringPmf":
+        return cls(tuple(float(p) for p in probs))
 
     @classmethod
-    def poisson(cls, mean: float = 1.0, kmax: int = 30) -> "OffspringPmf":
-        """Poisson(mean) truncated at kmax and renormalized.
+    def poisson(cls, mean: float = 1.0) -> "OffspringPmf":
+        """Poisson(mean) truncated at k = 30 and renormalized.
 
-        At the defaults the discarded tail mass is below 1e-32.
+        At mean 1 the discarded tail mass is below 1e-32.
         """
-        if mean <= 0 or kmax < 1:
-            raise InvalidPmf("poisson needs mean > 0 and kmax >= 1")
-        weights = [math.exp(-mean + k * math.log(mean) - math.lgamma(k + 1)) for k in range(kmax + 1)]
-        return cls.from_probs(weights, renormalize=True)
+        if mean <= 0:
+            raise InvalidPmf("poisson needs mean > 0")
+        weights = [math.exp(-mean + k * math.log(mean) - math.lgamma(k + 1)) for k in range(31)]
+        total = math.fsum(weights)
+        if total == 0:  # every weight underflows from a mean of about 875
+            raise InvalidPmf(f"poisson({mean}) weights underflow to zero")
+        return cls(tuple(w / total for w in weights))
 
     @classmethod
-    def geometric(cls, ratio: float = 0.5, kmax: int = 60) -> "OffspringPmf":
-        """p_k proportional to ratio^k, truncated at kmax and renormalized."""
-        if not 0 < ratio < 1 or kmax < 1:
-            raise InvalidPmf("geometric needs 0 < ratio < 1 and kmax >= 1")
-        return cls.from_probs([ratio**k for k in range(kmax + 1)], renormalize=True)
+    def geometric(cls, ratio: float = 0.5) -> "OffspringPmf":
+        """p_k proportional to ratio^k, truncated at k = 60 and renormalized."""
+        if not 0 < ratio < 1:
+            raise InvalidPmf("geometric needs 0 < ratio < 1")
+        total = math.fsum(ratio**k for k in range(61))
+        return cls(tuple(ratio**k / total for k in range(61)))
 
     @property
     def p0(self) -> float:
@@ -284,14 +282,16 @@ def sample_uniform_tree(n: int, rng: np.random.Generator) -> RootedTree:
 
     :func:`sample_uniform_shape` with uniform labels drawn after it, which
     make the Poisson(1) branching tree a uniform rooted labeled tree
-    (Aldous, The continuum random tree II, 1991).
+    (Aldous, The continuum random tree II, 1991).  Relabelling a validated
+    tree keeps it valid, so the labelled one is not validated again.
     """
     parents = sample_uniform_shape(n, rng).parents
     label = rng.permutation(n)
     labeled = np.empty(n, dtype=np.int64)
     labeled[label[0]] = -1
     labeled[label[1:]] = label[parents[1:]]
-    return build_from_parents(labeled)
+    labeled.flags.writeable = False
+    return RootedTree(parents=labeled, root=int(label[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +433,8 @@ def sample_H(lam: float, nu: float, rng: np.random.Generator) -> float:
     alarm competes with the next stream gap; the first alarm that fires
     before its gap ends the race.
     """
-    if not (lam > 0 and nu > 0):
-        raise InvalidParams(f"sample_H requires positive rates, got ({lam}, {nu})")
+    if not (0 < lam < math.inf and 0 < nu < math.inf):
+        raise InvalidParams(f"sample_H requires finite positive rates, got ({lam}, {nu})")
     pi = rng.exponential(1.0 / lam)
     j = 1
     while True:

@@ -72,15 +72,15 @@ def md_report(tree: RootedTree) -> MDReport:
     root among them needs a third child to be major.  When the root has
     degree <= 2 and exactly one non-line child, the end of the only-child
     chain below that child is exterior major too: the one vertex of
-    outdegree >= 2 whose climb stops at a child of the root.  The path
-    test counts leaves.
+    outdegree >= 2 whose climb stops at a child of the root.  The tree is
+    a path, ``is_path``, when n == 1 or it has exactly two leaves.
     """
     outdeg, root = tree.outdeg, tree.root
     # A non-root vertex is a leaf with no children, the root with one.
     leaf = outdeg == 0
     leaf[root] = outdeg[root] == 1
     leaves = int(np.count_nonzero(leaf))
-    if tree.n == 1 or leaves == 2:  # the rule of ``is_path``
+    if tree.n == 1 or leaves == 2:  # a path (a single vertex counts)
         return MDReport(
             leaf_mask=leaf,
             exterior_mask=np.zeros(tree.n, dtype=bool),

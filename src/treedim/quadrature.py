@@ -34,7 +34,12 @@ DEFAULT_SPEC = QuadratureSpec()
 def adaptive_simpson(
     f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> tuple[float, float]:
-    """Integrate ``f`` over ``[a, b]``; returns (value, error estimate)."""
+    """Integrate ``f`` over ``[a, b]``; returns (value, error estimate).
+
+    Raises :class:`DomainError` for a bound that is not finite, or for a cell
+    to refine whose estimates are not (a NaN or unbounded integrand)."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"adaptive_simpson needs finite bounds, got [{a}, {b}]")
     if a == b:
         return 0.0, 0.0
     if a > b:
@@ -57,6 +62,8 @@ def adaptive_simpson(
         local_tol = max(tol, spec.rel_tol * abs(left + right))
         if depth >= MAX_DEPTH or abs(delta) <= 15.0 * local_tol:
             return left + right + delta / 15.0, abs(delta) / 15.0
+        if not math.isfinite(delta):
+            raise DomainError(f"integrand is not finite on [{lo}, {hi}]")
         lval, lerr = recurse(lo, mid, flo, flm, fmid, left, tol / 2.0, depth + 1)
         rval, rerr = recurse(mid, hi, fmid, frm, fhi, right, tol / 2.0, depth + 1)
         return lval + rval, lerr + rerr

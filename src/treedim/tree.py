@@ -41,7 +41,8 @@ class RootedTree:
     top of its leg; ``pk_flags[v]`` marks a branch vertex with a line child,
     which is a leg top's parent; ``line[v]`` flags a line subtree below
     ``v``; ``children[v]`` lists the children in ascending index order.
-    Use :func:`build_from_parents` instead of constructing directly.
+    Use :func:`build_from_parents`; only ``sample_uniform_tree``, which
+    relabels a validated tree, constructs one directly.
     """
 
     parents: np.ndarray
@@ -216,17 +217,6 @@ def check_vertex(tree: RootedTree, v: int) -> None:
     """Refuse anything but a Python or numpy integer (not a bool) in range."""
     if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or not 0 <= v < tree.n:
         raise VertexOutOfRange(f"vertex {v!r} outside 0..{tree.n - 1}")
-
-
-def is_path(tree: RootedTree) -> bool:
-    """True iff the underlying unrooted graph is a path (single vertex counts).
-
-    It is iff n == 1 or the tree has exactly two leaves: the childless
-    non-root vertices, plus the root when it has one child.
-    """
-    outdeg = tree.outdeg
-    leaves = int(np.count_nonzero(outdeg == 0)) + int(outdeg[tree.root] == 1)
-    return tree.n == 1 or leaves == 2
 
 
 def serialize(tree: RootedTree) -> str:

@@ -24,6 +24,7 @@ from .constants import (
     pk_given_x,
     q_line_prob,
 )
+from .errors import IsPath
 from .experiments import (
     ExperimentConfig,
     GWModel,
@@ -43,7 +44,7 @@ from .generators import (
     simulate_cmj,
 )
 from .metric_dimension import brute_force_md, md_report
-from .tree import RootedTree, build_from_parents, is_path
+from .tree import RootedTree, build_from_parents
 
 # Fixed suite seed: the Monte Carlo bands are three standard errors wide,
 # so a correct implementation still draws outside them on a small fraction
@@ -225,10 +226,10 @@ def criterion_epsilon_audit(seed: int = DEFAULT_SEED) -> list[CheckResult]:
             rng = spec.stream(1_000 + mi * 10 + si)
             done = 0
             while done < quota:
-                tree = gen(n, rng)
-                if is_path(tree):
+                try:
+                    audit = epsilon_audit(gen(n, rng))
+                except IsPath:
                     continue  # the audit targets non-path trees
-                audit = epsilon_audit(tree)
                 epsilons[audit.epsilon] += 1
                 done += 1
     worst = max(abs(k) for k in epsilons)

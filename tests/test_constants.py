@@ -115,6 +115,31 @@ class TestQuadrature:
         with pytest.raises(DomainError):
             QuadratureSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "f,a,b",
+        [
+            (lambda x: math.nan, 0.0, 1.0),
+            (lambda x: 1.0, 0.0, math.inf),
+            (lambda x: 1.0, -math.inf, 0.0),
+            (lambda x: 1.0 / x if x else math.inf, 0.0, 1.0),
+        ],
+        ids=["nan", "inf-upper", "inf-lower", "pole"],
+    )
+    def test_refuses_what_no_depth_resolves(self, f, a, b):
+        # A NaN or unbounded integrand never passes the accept test; without
+        # the refusal every cell splits to MAX_DEPTH (about 2^60 calls).
+        calls = 0
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            if calls > 100_000:
+                raise RuntimeError("adaptive_simpson did not stop")
+            return f(x)
+
+        with pytest.raises(DomainError, match="finite"):
+            adaptive_simpson(counted, a, b)
+
 
 class TestGWConstant:
     def test_poisson(self):
@@ -129,7 +154,7 @@ class TestGWConstant:
         assert c_gw(pmf).value == pytest.approx(0.125, abs=1e-15)
 
     def test_geometric(self):
-        pmf = OffspringPmf.geometric(0.5, kmax=60)
+        pmf = OffspringPmf.geometric(0.5)
         assert c_gw(pmf).value == pytest.approx(4 / 15, abs=1e-12)
 
     def test_non_critical_rejected(self):
@@ -302,8 +327,9 @@ class TestConditionalPieces:
         assert values == sorted(values, reverse=True)
 
     def test_q_domain(self):
-        with pytest.raises(DomainError):
-            q_line_prob(1.0, 1, 0.0)
+        for x in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="0 < x < inf"):
+                q_line_prob(1.0, 1, x)
         with pytest.raises(Unsupported):
             q_line_prob(2.0, 0, 1.0)
 
@@ -323,6 +349,18 @@ class TestConditionalPieces:
             h_tail(0, 1, 1)
         with pytest.raises(DomainError):
             h_tail(1, 1, -1)
+        for lam, nu in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(DomainError, match="finite positive rates"):
+                h_tail(lam, nu, 1.0)
+        with pytest.raises(DomainError, match="t >= 0"):
+            h_tail(1.0, 1.0, math.nan)
+
+    def test_pk_domain(self):
+        for x in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="0 < x < inf"):
+                pk_given_x(1.0, 0, x)
+        with pytest.raises(Unsupported):
+            pk_given_x(2.0, 0, 1.0)
 
     def test_pk_limits_to_zero_at_small_x(self):
         for rho, chi in ((1.0, 0), (1.0, 1), (2.0, -1)):

@@ -12,7 +12,6 @@ from treedim import (
     epsilon_audit,
     fringe_size_counts,
     is_line,
-    is_path,
     is_pk,
     is_pl,
     md_report,
@@ -175,7 +174,7 @@ class TestTupleCoreOracle:
         assert t.line.tolist() == flags
         assert [is_line(t, v) for v in range(t.n)] == flags
         assert [is_pk(t, v) for v in range(t.n)] == pk
-        assert is_path(t) == all(
+        assert md_report(t).is_path == all(
             len(kids) <= 1 + (v == ref.root) for v, kids in enumerate(ref.children)
         )
         assert subtree_sizes(t).tolist() == sizes

@@ -181,7 +181,13 @@ class TestOffspringPmf:
         with pytest.raises(InvalidPmf, match="nan"):
             OffspringPmf((0.5, math.nan, 0.5))
         with pytest.raises(InvalidPmf, match="nan"):
-            OffspringPmf.from_probs([0.5, math.nan, 0.5], renormalize=True)
+            OffspringPmf.from_probs([0.5, math.nan, 0.5])
+        with pytest.raises(InvalidPmf, match="poisson needs mean > 0"):
+            OffspringPmf.poisson(0.0)
+        with pytest.raises(InvalidPmf, match="underflow"):
+            OffspringPmf.poisson(1000.0)
+        with pytest.raises(InvalidPmf, match="geometric needs 0 < ratio < 1"):
+            OffspringPmf.geometric(1.0)
 
     def test_poisson_is_critical(self):
         pmf = OffspringPmf.poisson(1.0)
@@ -190,8 +196,14 @@ class TestOffspringPmf:
         assert second_moment == pytest.approx(2.0, abs=1e-9)
 
     def test_geometric_is_critical(self):
-        pmf = OffspringPmf.geometric(0.5, kmax=60)
+        pmf = OffspringPmf.geometric(0.5)
         assert pmf.p0 == pytest.approx(0.5, abs=1e-12)
+
+    def test_named_laws_normalise_their_weights_by_fsum(self):
+        poisson = [math.exp(-1.0 - math.lgamma(k + 1)) for k in range(31)]
+        geometric = [0.5**k for k in range(61)]
+        for pmf, w in ((POISSON, poisson), (GEOMETRIC, geometric)):
+            assert pmf.probs == tuple(p / math.fsum(w) for p in w)
 
     def test_subcritical_rejected(self):
         with pytest.raises(InvalidPmf, match="mean 0.4"):
@@ -299,6 +311,15 @@ class TestUniformTree:
             stars += max(len(c) + (v != t.root) for v, c in enumerate(t.children)) == 3
         se = math.sqrt(0.25 * 0.75 / trials)
         assert abs(stars / trials - 0.25) <= 3 * se
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 40, 1000])
+    def test_labelled_tree_is_valid_without_revalidation(self, n):
+        # The relabelled shape is built directly, not validated again.
+        spec = RngSpec(12)
+        for i in range(500):
+            t = sample_uniform_tree(n, spec.stream(i))
+            assert t == build_from_parents(t.parents.copy())
+            assert t.parents.dtype == np.int64 and not t.parents.flags.writeable
 
     @pytest.mark.parametrize("n", [2, 5, 40, 1000])
     def test_labels_are_drawn_last_and_change_no_statistic(self, n):
@@ -491,8 +512,22 @@ class TestSampleH:
         assert abs(hits / trials - p) <= 3 * se
 
     def test_invalid(self):
-        with pytest.raises(InvalidParams):
-            sample_H(0.0, 1.0, RngSpec(25).stream(0))
+        class Bounded:
+            # A stand-in generator: at lam = inf every gap is 0, so an
+            # unrefused rate would loop forever.
+            def __init__(self):
+                self.rng, self.calls = RngSpec(25).stream(0), 0
+
+            def exponential(self, scale):
+                self.calls += 1
+                if self.calls > 10_000:
+                    raise RuntimeError("sample_H did not stop")
+                return self.rng.exponential(scale)
+
+        bad = [(0.0, 1.0), (1.0, 0.0), (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)]
+        for lam, nu in bad:
+            with pytest.raises(InvalidParams, match="finite positive rates"):
+                sample_H(lam, nu, Bounded())
 
 
 class TestDeterminism:

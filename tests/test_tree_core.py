@@ -9,7 +9,6 @@ from treedim import (
     build_from_parents,
     count_subtree_property,
     is_line,
-    is_path,
     is_pk,
     is_pl,
     md_report,
@@ -284,18 +283,18 @@ class TestDegrees:
 
 class TestIsPath:
     def test_chain_is_path(self):
-        assert is_path(chain(5))
+        assert md_report(chain(5)).is_path
 
     def test_star_is_not(self):
-        assert not is_path(star(3))
+        assert not md_report(star(3)).is_path
 
     def test_single_vertex_counts(self):
-        assert is_path(build_from_parents([None]))
+        assert md_report(build_from_parents([None])).is_path
 
     def test_midpoint_rooted_path(self):
         # root in the middle, two hanging chains: still an unrooted path
         t = build_from_parents([None, 0, 0, 1, 2])
-        assert is_path(t)
+        assert md_report(t).is_path
 
 
 def tall(shape: str, length: int) -> list[int | None]:
