@@ -321,22 +321,33 @@ def q_line_prob(rho: float, chi: int, x: float) -> float:
     _check_evaluable(rho, chi)
     if chi == 0:
         return math.expm1(-math.expm1(-x)) / x
+    # e^{chi x} / (expm1(chi x) / chi) is e^{-x} / -expm1(-x) at chi = -1 and
+    # 1 / -expm1(-x) at chi = +1: decaying exponentials, finite for every x.
     a = rho + chi
-    z_g = math.expm1(chi * x) / chi
-    return math.exp(chi * x) * math.expm1(-(rho / a) * math.expm1(-a * x)) / (rho * z_g)
+    tilt = math.exp(-x) if chi == -1 else 1.0
+    return tilt * math.expm1(-(rho / a) * math.expm1(-a * x)) / (rho * -math.expm1(-x))
 
 
 def h_tail(lam: float, nu: float, t: float) -> float:
     """Tail P(H > t) of the exponential clock whose rate jumps by ``nu``
     at each point of a rate-``lam`` Poisson stream.
 
-    Closed form: exp(-lam t + (lam/nu)(1 - e^{-nu t})).
+    Closed form: exp(-lam t + (lam/nu)(1 - e^{-nu t})) where nu t >= 1e-2
+    and lam/nu is finite, else exp(-lam t phi(nu t)) with phi(u) = (u +
+    expm1(-u)) / u, by its Taylor series below 1e-2.
     """
     if not (0 < lam < math.inf and 0 < nu < math.inf):
         raise DomainError(f"h_tail requires finite positive rates, got ({lam}, {nu})")
     if not t >= 0:  # also catches NaN
         raise DomainError(f"h_tail requires t >= 0, got {t}")
-    return math.exp(-lam * t - (lam / nu) * math.expm1(-nu * t))
+    u, ratio = nu * t, lam / nu
+    if u < 1e-2:
+        phi = u * (1 / 2 - u * (1 / 6 - u * (1 / 24 - u * (1 / 120 - u / 720))))
+    elif ratio < math.inf:
+        return math.exp(-lam * t - ratio * math.expm1(-u))
+    else:
+        phi = 1.0 + math.expm1(-u) / u
+    return math.exp(-lam * (t * phi))  # lam * t alone may overflow
 
 
 def pk_given_x(rho: float, chi: int, x: float) -> float:
@@ -353,10 +364,13 @@ def pk_given_x(rho: float, chi: int, x: float) -> float:
     if chi == 0:
         g = math.exp(-x * (1.0 - z))
         p1 = x * math.exp(-x)
+    elif chi == 1:  # in decaying exponentials, finite for every x
+        g = math.exp(-rho * (x + math.log(q + (1.0 - q) * math.exp(-x))))
+        p1 = rho * -math.expm1(-x) * math.exp(-rho * x)
     else:
-        ecx = math.exp(chi * x)
-        g = (ecx + (1.0 - ecx) * z) ** (-rho / chi)
-        p1 = -(rho / chi) * (-math.expm1(chi * x)) * math.exp(-x * (rho + chi))
+        ecx = math.exp(-x)
+        g = (ecx + (1.0 - ecx) * z) ** rho
+        p1 = rho * -math.expm1(-x) * math.exp(-x * (rho - 1))
     return 1.0 - g - q * p1
 
 

@@ -13,7 +13,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, partial
 
 from .constants import c_general, c_gw, gw_pk_prob, p_leaf
@@ -40,22 +40,6 @@ _COUNTS = {
     "pk_fraction": lambda tree: count_subtree_property(tree, is_pk),
 }
 STATISTICS = tuple(_COUNTS)
-
-CSV_COLUMNS = (
-    "model",
-    "rho",
-    "chi",
-    "n",
-    "trials",
-    "seed",
-    "mean",
-    "stddev",
-    "stderr",
-    "ci_lo",
-    "ci_hi",
-    "constant",
-    "abs_diff",
-)
 
 
 # Each model samples its family, draws a tree whose labels do not matter
@@ -187,6 +171,10 @@ class ExperimentSummary:
     abs_diff: float | None
 
 
+# The export format's columns: every summary field but ``statistic``.
+CSV_COLUMNS = tuple(f.name for f in fields(ExperimentSummary) if f.name != "statistic")
+
+
 @dataclass(frozen=True)
 class ComparisonReport:
     tolerance: float
@@ -297,8 +285,7 @@ def export(summaries: list[ExperimentSummary], path, overwrite: bool = False) ->
     """Write experiment summaries to ``path``: JSON when the path ends in
     ``.json``, CSV otherwise.
 
-    CSV columns are exactly ``model,rho,chi,n,trials,seed,mean,stddev,
-    stderr,ci_lo,ci_hi,constant,abs_diff``, one row per experiment; JSON
+    CSV columns are :data:`CSV_COLUMNS`, one row per experiment; JSON
     mirrors the same fields.  Existing files are only replaced when
     ``overwrite`` is set; otherwise the open itself refuses them with
     :class:`FileExistsError`.

@@ -30,15 +30,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, InvalidPmf, UnreachableSize
-from .tree import RootedTree, build_from_parents
+from .tree import RootedTree, _is_int, build_from_parents
 
 _MASK64 = (1 << 64) - 1
 MAX_TREE_SIZE = 2**53  # float64 picks and subtree-size sums are exact up to here
 
 
 def check_size(n: int) -> None:
-    """Raise :class:`InvalidParams` unless 1 <= n <= ``MAX_TREE_SIZE``;
-    every sampler calls it before its first draw."""
+    """Raise :class:`InvalidParams` unless n is an integer with 1 <= n <=
+    ``MAX_TREE_SIZE``; every sampler calls it before its first draw."""
+    if not _is_int(n):
+        raise InvalidParams(f"tree size must be an integer, got {n!r}")
     if n < 1:
         raise InvalidParams(f"tree size must be >= 1, got {n}")
     if n > MAX_TREE_SIZE:
@@ -357,7 +359,7 @@ def sample_pa_tree(params: PAParams, n: int, rng: np.random.Generator) -> Rooted
     where float64 picks stop being exact.
     """
     check_size(n)
-    if params.chi == -1 and (int(params.rho) - 1) * (n - 1) + 1 > 2**53:
+    if params.chi == -1 and (int(params.rho) - 1) * (int(n) - 1) + 1 > MAX_TREE_SIZE:
         raise InvalidParams(f"chi = -1 at rho = {params.rho:g}, n = {n} needs over 2^53 slots")
     if params.chi == 0:
         picks = (rng.random(n - 1) * np.arange(1, n)).astype(np.int64)

@@ -134,11 +134,16 @@ class RootedTree:
         return tuple(map(tuple, kids))
 
 
+def _is_int(x) -> bool:
+    """The one integer rule: a Python or numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def build_from_parents(parents) -> RootedTree:
     """Validate a parent array and return the tree it describes.
 
     ``parents`` is either a sequence holding ``None`` at the root and an
-    ``int`` elsewhere, or a one-dimensional signed-integer ndarray holding
+    integer elsewhere, or a one-dimensional signed-integer ndarray holding
     -1 at the root (any other negative entry is out of range).  Raises
     :class:`NoRoot`, :class:`MultipleRoots`, :class:`IndexOutOfRange` or
     :class:`CycleDetected` rather than returning a malformed tree: first
@@ -157,12 +162,7 @@ def build_from_parents(parents) -> RootedTree:
         n = len(parents)
         # Entries the sequence rules reject become n, which is out of range.
         arr = np.array(
-            [
-                -1 if p is None
-                else p if isinstance(p, int) and not isinstance(p, bool) and 0 <= p < n
-                else n
-                for p in parents
-            ],
+            [-1 if p is None else p if _is_int(p) and 0 <= p < n else n for p in parents],
             dtype=np.int64,
         )
     arr.flags.writeable = False
@@ -188,7 +188,7 @@ def build_from_parents(parents) -> RootedTree:
                 f"vertex {v} has no parent but vertex {roots[0]} is already the root",
                 vertex=v,
             )
-        if not isinstance(p, int) or isinstance(p, bool):
+        if not _is_int(p):
             raise IndexOutOfRange(f"vertex {v} has non-integer parent {p!r}", vertex=v)
         if not 0 <= p < n:
             raise IndexOutOfRange(
@@ -214,8 +214,8 @@ def build_from_parents(parents) -> RootedTree:
 
 
 def check_vertex(tree: RootedTree, v: int) -> None:
-    """Refuse anything but a Python or numpy integer (not a bool) in range."""
-    if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or not 0 <= v < tree.n:
+    """Refuse anything but an integer (:func:`_is_int`) in range."""
+    if not _is_int(v) or not 0 <= v < tree.n:
         raise VertexOutOfRange(f"vertex {v!r} outside 0..{tree.n - 1}")
 
 

@@ -21,6 +21,7 @@ from .constants import (
     c_mary,
     c_rrt,
     h_tail,
+    p_leaf,
     pk_given_x,
     q_line_prob,
 )
@@ -44,7 +45,7 @@ from .generators import (
     simulate_cmj,
 )
 from .metric_dimension import brute_force_md, md_report
-from .tree import RootedTree, build_from_parents
+from .tree import build_from_parents
 
 # Fixed suite seed: the Monte Carlo bands are three standard errors wide,
 # so a correct implementation still draws outside them on a small fraction
@@ -290,14 +291,6 @@ def criterion_figure1(seed: int = DEFAULT_SEED, workers: int = 1) -> list[CheckR
 # ---------------------------------------------------------------------------
 
 
-def _shape_key(tree: RootedTree) -> tuple[int, ...]:
-    # Breadth-first outdegree sequence: canonical for ordered shapes.
-    kids, order = tree.children, [tree.root]
-    for v in order:
-        order.extend(kids[v])
-    return tuple(len(kids[v]) for v in order)
-
-
 def criterion_embedding_tv(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     samples = 100_000
     spec = RngSpec(seed)
@@ -305,16 +298,18 @@ def criterion_embedding_tv(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     for idx, (rho, chi) in enumerate(EMBEDDING_PARAMS):
         params = PAParams(rho, chi)
         rng = spec.stream(2_000 + idx)
-        cmj_counts = Counter(_shape_key(simulate_cmj(params, 4, rng).tree) for _ in range(samples))
-        pa_counts = Counter(_shape_key(sample_pa_tree(params, 4, rng)) for _ in range(samples))
+        # Both number the vertices in birth order, so the parent arrays are
+        # the increasing trees the embedding theorem equates.
+        cmj_counts = Counter(simulate_cmj(params, 4, rng).tree.parents.tobytes() for _ in range(samples))
+        pa_counts = Counter(sample_pa_tree(params, 4, rng).parents.tobytes() for _ in range(samples))
         keys = set(cmj_counts) | set(pa_counts)
         tv = 0.5 * sum(abs(cmj_counts[k] - pa_counts[k]) / samples for k in keys)
         checks.append(
             CheckResult(
-                f"size-4 shape TV distance, (rho, chi) = ({rho:g}, {chi})",
+                f"size-4 increasing-tree TV distance, (rho, chi) = ({rho:g}, {chi})",
                 tv <= 0.01,
                 "<= 0.01",
-                f"{tv:.5f} over {len(keys)} shapes",
+                f"{tv:.5f} over {len(keys)} trees",
             )
         )
     return checks
@@ -358,17 +353,17 @@ def criterion_fringe_laws(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         )
     for idx, (rho, chi) in enumerate(EMBEDDING_PARAMS):
         params = PAParams(rho, chi)
-        # The horizon is the independent Exp(rho + chi) doomsday.  A size
-        # cap cannot change whether the stopped tree is a single vertex, so
-        # the heavy-tailed runs can be frozen early.
+        # The horizon is the independent Exp(rho + chi) doomsday.  The tree
+        # is a single vertex iff the root's first child is born after it, so
+        # each run stops at that birth.
         checks.append(
             _event_check(
                 f"stopped-tree single-vertex fraction, (rho, chi) = ({rho:g}, {chi})",
                 lambda rng: simulate_cmj(
-                    params, 10_000, rng, horizon=rng.exponential(1.0 / (rho + chi))
+                    params, 2, rng, horizon=rng.exponential(1.0 / (rho + chi))
                 ).tree.n == 1,
                 spec.stream(4_100 + idx),
-                (rho + chi) / (2 * rho + chi),
+                p_leaf(rho, chi),
             )
         )
     return checks

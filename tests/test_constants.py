@@ -355,6 +355,49 @@ class TestConditionalPieces:
         with pytest.raises(DomainError, match="t >= 0"):
             h_tail(1.0, 1.0, math.nan)
 
+    @pytest.mark.parametrize(
+        "lam,nu,t,expected",
+        [
+            (1.0, 1e-320, 1.0, 1.0),
+            (1e300, 1e-300, 1.0, math.exp(-0.5)),
+            (1e200, 1e-200, 1e-3, math.exp(-5e-7)),
+            (1e300, 1e-300, 1e300, 0.0),
+            (1e300, 1e-320, 1e10, math.exp(-(1e300 * 1e-320) * 1e10 * 1e10 / 2)),
+        ],
+    )
+    def test_h_tail_when_lam_over_nu_overflows_or_nu_t_is_tiny(self, lam, nu, t, expected):
+        # For small nu t the tail is about exp(-lam nu t^2 / 2).
+        assert h_tail(lam, nu, t) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_h_tail_series_meets_closed_form(self):
+        # Below nu t = 1e-2 the series replaces the closed form; at the
+        # shipped rates the closed form is kept bit for bit.
+        for lam, nu, t in ((1.0, 1.0, 1.0), (1.0, 2.0, 2.0), (2.0, 1.0, 0.5)):
+            assert h_tail(lam, nu, t) == math.exp(-lam * t - (lam / nu) * math.expm1(-nu * t))
+        for t in (0.0099, 0.0101):
+            closed = math.exp(-3.0 * t - 3.0 * math.expm1(-t))
+            assert h_tail(3.0, 1.0, t) == pytest.approx(closed, rel=1e-13)
+
+    @pytest.mark.parametrize("rho", [0.001, 0.1, 1.0, 5.0, 10.0])
+    def test_rich_pieces_at_large_x(self, rho):
+        # e^x overflows past x = 709.78, but the pieces stay probabilities,
+        # and q tends to expm1(rho / (rho + 1)) / rho, not to 0.
+        for x in (1.0, 50.0, 700.0, 709.0, 710.0, 800.0, 1e6):
+            for value in (q_line_prob(rho, 1, x), pk_given_x(rho, 1, x)):
+                assert math.isfinite(value) and 0.0 <= value <= 1.0
+        assert q_line_prob(rho, 1, 800.0) == math.expm1(rho / (rho + 1)) / rho
+
+    def test_rich_pieces_match_growing_exponential_forms(self):
+        for rho, x in ((1.0, 1.0), (0.5, 3.0), (5.0, 20.0)):
+            a = rho + 1
+            q = math.exp(x) * math.expm1(-(rho / a) * math.expm1(-a * x)) / (rho * math.expm1(x))
+            g = (math.exp(x) + (1 - math.exp(x)) * (1 - q)) ** -rho
+            p1 = rho * math.expm1(x) * math.exp(-x * a)
+            assert q_line_prob(rho, 1, x) == pytest.approx(q, rel=1e-13)
+            assert pk_given_x(rho, 1, x) == pytest.approx(1 - g - q * p1, rel=1e-12)
+        assert q_line_prob(5.0, 1, 709.0) == pytest.approx(0.260195, abs=5e-7)
+        assert pk_given_x(0.001, 1, 800.0) == pytest.approx(0.5502, abs=5e-5)
+
     def test_pk_domain(self):
         for x in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(DomainError, match="0 < x < inf"):

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from treedim import (
@@ -54,6 +55,18 @@ class TestConfig:
     def test_size_beyond_the_sampler_range(self, n):
         with pytest.raises(InvalidParams, match=rf"tree size must be <= 2\^53, got {n}$"):
             small_config(n=n)
+
+    @pytest.mark.parametrize(
+        "n,message",
+        [(50.5, "must be an integer, got 50.5"), (3.0, "must be an integer, got 3.0"),
+         (True, "must be >= 2, got True")],
+    )
+    def test_non_integer_size_refused(self, n, message):
+        with pytest.raises(InvalidParams, match=rf"tree size {message}$"):
+            small_config(n=n)
+
+    def test_numpy_integer_size_accepted(self):
+        assert small_config(n=np.int64(5)).n == 5
 
 
 class TestReferences:

@@ -378,6 +378,8 @@ class TestPATree:
         state = rng.bit_generator.state
         with pytest.raises(InvalidParams, match="2\\^53"):
             sample_pa_tree(PAParams(1e15, -1), 10**5, rng)
+        with pytest.raises(InvalidParams, match="2\\^53"):
+            sample_pa_tree(PAParams(1e300, -1), np.int64(5), rng)  # no int64 overflow
         assert rng.bit_generator.state == state
         edge = PAParams(2.0**52 + 1, -1)
         assert sample_pa_tree(edge, 2, rng).parents.tolist() == [-1, 0]
@@ -569,6 +571,9 @@ class TestSizeRule:
             (0, "must be >= 1, got 0"),
             (2**53 + 1, "must be <= 2\\^53, got 9007199254740993"),
             (2**61, "must be <= 2\\^53"),
+            (10.5, "must be an integer, got 10.5"),
+            (3.0, "must be an integer, got 3.0"),
+            (True, "must be an integer, got True"),
         ],
     )
     def test_out_of_range_refused_before_any_draw(self, n, message):
@@ -579,6 +584,11 @@ class TestSizeRule:
             with pytest.raises(InvalidParams, match=message):
                 sampler(n, rng)
             assert rng.bit_generator.state == state, name
+
+    def test_numpy_integer_size_accepted(self):
+        for name, sampler in SAMPLERS.items():
+            tree = sampler(np.int64(5), RngSpec(12).stream(0))
+            assert tree == sampler(5, RngSpec(12).stream(0)), name
 
 
 class TestGoldenStreams:

@@ -59,7 +59,7 @@ def build_from_parents(parents) -> TupleTree:
                 )
             root = v
         else:
-            if not isinstance(p, int) or isinstance(p, bool):
+            if not isinstance(p, (int, np.integer)) or isinstance(p, bool):
                 raise IndexOutOfRange(
                     f"vertex {v} has non-integer parent {p!r}", vertex=v
                 )
