@@ -332,19 +332,17 @@ def h_tail(lam: float, nu: float, t: float) -> float:
     """Tail P(H > t) of the exponential clock whose rate jumps by ``nu``
     at each point of a rate-``lam`` Poisson stream.
 
-    Closed form: exp(-lam t + (lam/nu)(1 - e^{-nu t})) where nu t >= 1e-2
-    and lam/nu is finite, else exp(-lam t phi(nu t)) with phi(u) = (u +
-    expm1(-u)) / u, by its Taylor series below 1e-2.
+    Closed form exp(-lam t + (lam/nu)(1 - e^{-nu t})), written as
+    exp(-lam t phi(nu t)) with phi(u) = (u + expm1(-u)) / u so that lam/nu
+    never appears; phi is read from its Taylor series below u = 1e-2.
     """
     if not (0 < lam < math.inf and 0 < nu < math.inf):
         raise DomainError(f"h_tail requires finite positive rates, got ({lam}, {nu})")
     if not t >= 0:  # also catches NaN
         raise DomainError(f"h_tail requires t >= 0, got {t}")
-    u, ratio = nu * t, lam / nu
+    u = nu * t
     if u < 1e-2:
         phi = u * (1 / 2 - u * (1 / 6 - u * (1 / 24 - u * (1 / 120 - u / 720))))
-    elif ratio < math.inf:
-        return math.exp(-lam * t - ratio * math.expm1(-u))
     else:
         phi = 1.0 + math.expm1(-u) / u
     return math.exp(-lam * (t * phi))  # lam * t alone may overflow

@@ -231,7 +231,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
         model=model.name,
         rho=model.rho,
         chi=model.chi,
-        n=config.n,
+        n=int(config.n),  # a numpy size would not write to JSON
         trials=config.trials,
         seed=config.master_seed,
         statistic=config.statistic,

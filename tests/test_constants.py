@@ -370,10 +370,11 @@ class TestConditionalPieces:
         assert h_tail(lam, nu, t) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_h_tail_series_meets_closed_form(self):
-        # Below nu t = 1e-2 the series replaces the closed form; at the
-        # shipped rates the closed form is kept bit for bit.
+        # phi(nu t) meets the closed form at the shipped rates, and its
+        # series meets it on both sides of nu t = 1e-2.
         for lam, nu, t in ((1.0, 1.0, 1.0), (1.0, 2.0, 2.0), (2.0, 1.0, 0.5)):
-            assert h_tail(lam, nu, t) == math.exp(-lam * t - (lam / nu) * math.expm1(-nu * t))
+            closed = math.exp(-lam * t - (lam / nu) * math.expm1(-nu * t))
+            assert h_tail(lam, nu, t) == pytest.approx(closed, rel=1e-13)
         for t in (0.0099, 0.0101):
             closed = math.exp(-3.0 * t - 3.0 * math.expm1(-t))
             assert h_tail(3.0, 1.0, t) == pytest.approx(closed, rel=1e-13)

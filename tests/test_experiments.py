@@ -65,8 +65,13 @@ class TestConfig:
         with pytest.raises(InvalidParams, match=rf"tree size {message}$"):
             small_config(n=n)
 
-    def test_numpy_integer_size_accepted(self):
-        assert small_config(n=np.int64(5)).n == 5
+    def test_numpy_integer_size_accepted(self, tmp_path):
+        config = small_config(n=np.int64(5), trials=3)
+        assert config.n == 5
+        path = tmp_path / "np.json"
+        export([run_experiment(config)], path)
+        (row,) = json.loads(path.read_text())
+        assert row["n"] == 5
 
 
 class TestReferences:
