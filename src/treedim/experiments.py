@@ -30,7 +30,7 @@ from .generators import (
     sample_uniform_tree,
 )
 from .metric_dimension import md_report
-from .tree import RootedTree
+from .tree import RootedTree, _is_int
 
 # Statistic name -> the count it divides by the tree size.  ``md_report``
 # is looked up when a trial runs, so a rebinding of the module name is seen.
@@ -131,15 +131,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.model, ModelSpec):
             raise InvalidParams(f"unknown model {self.model!r}")
-        if self.trials < 1:
-            raise InvalidParams(f"trials must be >= 1, got {self.trials}")
+        for name in ("trials", "workers"):
+            count = getattr(self, name)
+            if not _is_int(count):
+                raise InvalidParams(f"{name} must be an integer, got {count!r}")
+            if count < 1:
+                raise InvalidParams(f"{name} must be >= 1, got {count}")
         if self.n < 2:
             raise InvalidParams(f"tree size must be >= 2, got {self.n}")
         check_size(self.n)
         if self.statistic not in STATISTICS:
             raise InvalidParams(f"unknown statistic {self.statistic!r}")
-        if self.workers < 1:
-            raise InvalidParams(f"workers must be >= 1, got {self.workers}")
+        RngSpec(self.master_seed)  # refuses a bad seed before any work
 
     @cached_property
     def reference(self) -> float | None:
@@ -231,9 +234,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
         model=model.name,
         rho=model.rho,
         chi=model.chi,
-        n=int(config.n),  # a numpy size would not write to JSON
-        trials=config.trials,
-        seed=config.master_seed,
+        # numpy integers would not write to JSON
+        n=int(config.n),
+        trials=int(config.trials),
+        seed=int(config.master_seed),
         statistic=config.statistic,
         mean=mean,
         stddev=stddev,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, InvalidPmf, UnreachableSize
-from .tree import RootedTree, _is_int, build_from_parents
+from .tree import RootedTree, _follow, _is_int, build_from_parents
 
 _MASK64 = (1 << 64) - 1
 MAX_TREE_SIZE = 2**53  # float64 picks and subtree-size sums are exact up to here
@@ -58,10 +58,14 @@ class RngSpec:
     master_seed: int
 
     def __post_init__(self):
+        if not _is_int(self.master_seed):
+            raise InvalidParams(f"master_seed must be an integer, got {self.master_seed!r}")
         if not 0 <= self.master_seed <= _MASK64:
             raise InvalidParams("master_seed must fit in 64 unsigned bits")
 
     def stream(self, trial: int = 0) -> np.random.Generator:
+        if not _is_int(trial):
+            raise InvalidParams(f"trial index must be an integer, got {trial!r}")
         if trial < 0:
             raise InvalidParams(f"trial index must be >= 0, got {trial}")
         seq = np.random.SeedSequence((self.master_seed, trial))
@@ -307,22 +311,16 @@ def _copy_attach(rho: float, n: int, rng: np.random.Generator) -> np.ndarray:
     vertex with probability rho v / (rho v + v - 1), else the parent of a
     uniform earlier non-root vertex, which is u with probability
     children(u) / (v - 1) (Batagelj & Brandes, Phys. Rev. E 71, 036113, 2005).
+    So v's parent is the pick at the end of its copy chain (``_follow``).
     """
     v = np.arange(1, n)
     u = rng.random((2, n - 1))
     direct = u[0] * (rho * v + v - 1) < rho * v
-    # src[v] is the parent of v once resolved, else the vertex v copies.
+    # src[v] is the parent v picks directly, else the vertex v copies.
     src = np.zeros(n, dtype=np.int64)
     src[1:] = np.where(direct, u[1] * v, 1 + u[1] * (v - 1)).astype(np.int64)
     copy = np.concatenate(([False], ~direct))
-    # Pointer jumping: O(log n) rounds resolve every copy chain.
-    pending = np.flatnonzero(copy)
-    while pending.size:
-        w = src[pending]
-        src[pending] = src[w]
-        copy[pending] = copy[w]
-        pending = pending[copy[pending]]
-    return src[1:]
+    return src.take(_follow(src, copy)[1:])
 
 
 def _slot_attach(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -398,21 +396,19 @@ def simulate_cmj(
     parents = [-1]
     births = [0.0]
     outdeg = [0]
-    pending: list[tuple[float, int, int]] = []
-    seq = 0
+    # Each vertex has at most one pending birth, so (time, parent) never ties.
+    pending: list[tuple[float, int]] = []
 
     def schedule(parent: int, now: float) -> None:
-        nonlocal seq
         rate = rho + chi * outdeg[parent]
         if rate <= 0:
             return
-        heapq.heappush(pending, (now + rng.exponential(1.0 / rate), seq, parent))
-        seq += 1
+        heapq.heappush(pending, (now + rng.exponential(1.0 / rate), parent))
 
     if n > 1:
         schedule(0, 0.0)
     while pending:
-        t, _, parent = heapq.heappop(pending)
+        t, parent = heapq.heappop(pending)
         if t > horizon:
             break
         child = len(parents)

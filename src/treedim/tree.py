@@ -71,24 +71,13 @@ class RootedTree:
     def climb(self) -> np.ndarray:
         """For each vertex, the top of its climb: the vertex reached by
         moving to the parent while the parent is a non-root vertex with one
-        child; the one pass here that follows only-child chains.  The movers'
-        first step is selected by ``nonzero`` (they are sparse and scattered);
-        pointer doubling then keeps those whose top still moves by a boolean
-        mask (on tall chains most do).  Read-only."""
-        parents = self.parents
+        child; the one pass here that follows only-child chains, by
+        :func:`_follow`.  Read-only."""
         link = self.outdeg == 1
         link[self.root] = False
-        moves = link[parents]
+        moves = link[self.parents]
         moves[self.root] = False  # its -1 would read vertex n - 1
-        steps = moves.nonzero()[0]
-        top = np.arange(self.n)
-        up = parents.take(steps)
-        top[steps] = up
-        steps = steps.take(moves.take(up).nonzero()[0])
-        while steps.size:
-            jump = top[top[steps]]
-            top[steps] = jump
-            steps = steps[moves[jump]]
+        top = _follow(self.parents, moves)
         top.flags.writeable = False
         return top
 
@@ -132,6 +121,23 @@ class RootedTree:
             if p >= 0:
                 kids[p].append(v)
         return tuple(map(tuple, kids))
+
+
+def _follow(nxt: np.ndarray, moves: np.ndarray) -> np.ndarray:
+    """For each vertex, the first vertex that does not move on its chain v,
+    nxt[v], nxt[nxt[v]], ..., which must reach one.  The movers' first step
+    is selected by ``nonzero`` (they are sparse and scattered); pointer
+    doubling then keeps those whose end still moves by a boolean mask."""
+    steps = moves.nonzero()[0]
+    top = np.arange(nxt.size)
+    up = nxt.take(steps)
+    top[steps] = up
+    steps = steps.take(moves.take(up).nonzero()[0])
+    while steps.size:
+        jump = top[top[steps]]
+        top[steps] = jump
+        steps = steps[moves[jump]]
+    return top
 
 
 def _is_int(x) -> bool:

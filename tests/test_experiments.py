@@ -73,6 +73,23 @@ class TestConfig:
         (row,) = json.loads(path.read_text())
         assert row["n"] == 5
 
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize("field", ["trials", "workers", "master_seed"])
+    def test_non_integer_count_or_seed_refused(self, field, value):
+        with pytest.raises(InvalidParams, match=rf"^{field} must be an integer, got {value!r}$"):
+            small_config(**{field: value})
+
+    @pytest.mark.parametrize("field", ["trials", "workers", "master_seed"])
+    def test_numpy_integer_count_or_seed_accepted(self, field, tmp_path):
+        base = dict(n=5, trials=3)
+        summary = run_experiment(small_config(**{**base, field: np.int64(3)}))
+        assert summary == run_experiment(small_config(**{**base, field: 3}))
+        export([summary], tmp_path / "np.json")
+
+    def test_seed_out_of_range_refused_by_the_config(self):
+        with pytest.raises(InvalidParams, match="master_seed must fit in 64 unsigned bits"):
+            small_config(master_seed=-1)
+
 
 class TestReferences:
     def test_bst(self):

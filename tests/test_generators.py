@@ -153,6 +153,8 @@ class TestRngSpec:
         a = RngSpec(123).stream(5).random(4)
         b = RngSpec(123).stream(5).random(4)
         assert np.array_equal(a, b)
+        c = RngSpec(np.int64(123)).stream(np.int64(5)).random(4)
+        assert np.array_equal(a, c)
 
     def test_distinct_trials_differ(self):
         a = RngSpec(123).stream(0).random(4)
@@ -166,6 +168,11 @@ class TestRngSpec:
             RngSpec(1 << 64)
         with pytest.raises(InvalidParams):
             RngSpec(7).stream(-1)
+        for value in (1.5, True):
+            with pytest.raises(InvalidParams, match=rf"^master_seed must be an integer, got {value}$"):
+                RngSpec(value)
+            with pytest.raises(InvalidParams, match=rf"^trial index must be an integer, got {value}$"):
+                RngSpec(7).stream(value)
 
 
 class TestOffspringPmf:
@@ -429,6 +436,20 @@ class TestPATree:
         se = math.sqrt(p * (1 - p) / trials)
         assert abs(lines / trials - p) <= 3 * se
 
+    @pytest.mark.parametrize("n", [2, 3, 1000, 20000])
+    @pytest.mark.parametrize("rho", [0.01, 1.0, 10.0])
+    def test_copy_chains_match_sequential_resolution(self, rho, n):
+        # The same draws resolved one vertex at a time: a direct pick takes
+        # floor(u1 v), a copy the resolved parent of 1 + floor(u1 (v - 1)).
+        u0, u1 = RngSpec(22).stream(n).random((2, n - 1)).tolist()
+        parents = [-1]
+        for v in range(1, n):
+            a, b = u0[v - 1], u1[v - 1]
+            direct = a * (rho * v + v - 1) < rho * v
+            parents.append(int(b * v) if direct else parents[int(1 + b * (v - 1))])
+        picks = generators._copy_attach(rho, n, RngSpec(22).stream(n))
+        assert picks.tolist() == parents[1:]
+
 
 class TestCMJ:
     def test_fixed_size_one(self):
@@ -463,7 +484,8 @@ class TestCMJ:
         trials = 30_000
         ones = 0
         for _ in range(trials):
-            ct = simulate_cmj(PAParams(2.0, -1), 5000, rng, horizon=rng.exponential(1.0))
+            # A single vertex unless the root's first child beats the doomsday.
+            ct = simulate_cmj(PAParams(2.0, -1), 2, rng, horizon=rng.exponential(1.0))
             ones += ct.tree.n == 1
         p = 1 / 3
         se = math.sqrt(p * (1 - p) / trials)
