@@ -246,20 +246,21 @@ def _general_integrals(
     """
     a = rho + chi
     r = rho / a
+    tilt, power = -chi / a, -(rho / chi)
+    exp, expm1, log1p = math.exp, math.expm1, math.log1p
 
     def f1(u: float) -> float:
         if u >= 1.0:
             return 0.0 if chi > 0 else 1.0
-        w = 1.0 - u
-        # e^{chi x} (e^{r u} - 1) / rho, with e^{chi x} = w^{-chi/a}
-        t = w ** (-chi / a) * math.expm1(r * u) / rho
-        # (1 + chi t)^(-rho/chi); log1p keeps what 1 + chi t rounds off at huge rho
-        return math.exp(-(rho / chi) * math.log1p(chi * t))
+        # e^{chi x} (e^{r u} - 1) / rho, with e^{chi x} = (1 - u)^tilt
+        t = (1.0 - u) ** tilt * expm1(r * u) / rho
+        # (1 + chi t)^power; log1p keeps what 1 + chi t rounds off at huge rho
+        return exp(power * log1p(chi * t))
 
     def f2(u: float) -> float:
         if u >= 1.0:
             return 0.0
-        return (1.0 - u) ** r * math.exp(r * u)
+        return (1.0 - u) ** r * exp(r * u)
 
     i1, e1 = adaptive_simpson(f1, 0.0, 1.0, spec)
     i2, e2 = adaptive_simpson(f2, 0.0, 1.0, spec)

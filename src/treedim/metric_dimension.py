@@ -6,10 +6,10 @@ landmark and a single vertex none.  The formula runs in linear time; an
 exponential subset-search oracle is provided for validation on small trees.
 All quantities refer to the unrooted graph; the root only orders the pass.
 
-The oracle reads nothing of the formula: with vertex v at bit n - 1 - v,
-subset masks sorted by size and then by decreasing value come in
-``itertools.combinations`` order, and a block of them per numpy pass is
-tested against each vertex pair's mask of separating landmarks.
+The oracle reads nothing of the formula: it takes every distance from
+subtree offsets and tests blocks of subset masks, in
+``itertools.combinations`` order, against each vertex pair's mask of
+separating landmarks.
 """
 
 from __future__ import annotations
@@ -145,24 +145,45 @@ def is_resolving(tree: RootedTree, candidate) -> bool:
 def _search_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Read-only search arrays for n vertices: the masks of every nonempty
     subset of ``0..n-1``, the bit of each vertex, in the narrowest unsigned
-    dtype that holds n bits, and, per landmark w (row) and vertex pair
-    u < v (column), the places ``w * n + u`` and ``w * n + v`` in the flat
-    distance list.
-
+    dtype that holds n bits, and the vertex pairs u < v as two index arrays.
     The masks are sorted by size and then by decreasing value (one
-    ``np.lexsort``), which is ``itertools.combinations`` order for each
-    size k = 1, ..., n in turn.
+    ``np.lexsort``): ``itertools.combinations`` order, size by size.
     """
     dtype = np.min_scalar_type((1 << n) - 1)
     bits = np.array([1 << (n - 1 - v) for v in range(n)], dtype=dtype)
-    rows = np.arange(0, n * n, n)[:, None]
     u, v = np.triu_indices(n, 1)
     masks = np.arange(1, 1 << n, dtype=dtype)
     masks = masks[np.lexsort((~masks, ((masks[:, None] & bits) > 0).sum(1)))]
-    arrays = (masks, bits, rows + u, rows + v)
+    arrays = (masks, bits, u, v)
     for array in arrays:
         array.flags.writeable = False
     return arrays
+
+
+def _distance_matrix(tree: RootedTree) -> np.ndarray:
+    """All graph distances as an n x n uint8 matrix, for n <= 16: row v is
+    one Python int with byte w holding d(v, w).  The root's row, the depths,
+    sums every other vertex's subtree byte mask; a child's row is its
+    parent's plus one at every byte, minus two in its own subtree.  No
+    distance exceeds 15, so no byte carries."""
+    n, root = tree.n, tree.root
+    parents = tree.parents.tolist()
+    kids: list[list[int]] = [[] for _ in range(n)]
+    for v, p in enumerate(parents):
+        if p >= 0:
+            kids[p].append(v)
+    order = [root]
+    for v in order:
+        order += kids[v]
+    sub = [1 << 8 * v for v in range(n)]
+    for v in reversed(order[1:]):  # bottom-up
+        sub[parents[v]] += sub[v]
+    ones, rows = sub[root], [0] * n
+    rows[root] = sum(sub) - ones
+    for v in order[1:]:
+        rows[v] = rows[parents[v]] + ones - 2 * sub[v]
+    data = b"".join(row.to_bytes(n, "little") for row in rows)
+    return np.frombuffer(data, dtype=np.uint8).reshape(n, n)
 
 
 def brute_force_md(tree: RootedTree) -> tuple[int, tuple[int, ...]]:
@@ -187,9 +208,9 @@ def brute_force_md(tree: RootedTree) -> tuple[int, tuple[int, ...]]:
         raise TooLarge(f"brute force capped at {BRUTE_FORCE_CAP} vertices, tree has {n}")
     if n == 1:
         return 0, ()
-    table, bits, at_u, at_v = _search_tables(n)
-    dist = np.array(_distances(tree, range(n)))
-    pairs = (bits @ (dist[at_u] != dist[at_v]))[:, None]
+    table, bits, u, v = _search_tables(n)
+    dist = _distance_matrix(tree)
+    pairs = (bits @ (dist[:, u] != dist[:, v]))[:, None]
     for start in range(0, len(table), _SCAN_ROWS):
         block = table[start : start + _SCAN_ROWS]
         ok = (pairs & block).all(0)

@@ -1,9 +1,12 @@
-"""Adaptive Simpson quadrature with Richardson extrapolation.
+"""Adaptive Simpson quadrature with Richardson extrapolation (Lyness 1969).
 
-Good to near machine precision for smooth integrands on compact intervals;
-mild endpoint (Holder-type) singularities are handled by the depth cap
-``MAX_DEPTH``, whose forced-accept cells contribute provably negligible
-error because the integrand stays bounded.
+Good to near machine precision for smooth integrands on compact intervals.
+A mild endpoint (Holder-type) singularity, such as the constants' cusps at
+u = 1, ends the refinement near depth 53: a cell there spans two adjacent
+floats, so its points coincide, ``delta`` is exactly 0 and the cell is
+accepted.  ``c_general(0.1, 1)`` accepts 144 such cells (220 at rel_tol =
+1e-13) and ``c_general(5, -1)`` 12 (44).  No constant of the figure grid
+reaches ``MAX_DEPTH``, which is only a backstop.
 """
 
 from __future__ import annotations
@@ -46,30 +49,29 @@ def adaptive_simpson(
         value, err = adaptive_simpson(f, b, a, spec)
         return -value, err
 
-    def simpson(fa, fm, fb, h):
-        return h / 6.0 * (fa + 4.0 * fm + fb)
+    rel_tol = spec.rel_tol
 
     def recurse(lo, hi, flo, fmid, fhi, whole, tol, depth):
         mid = 0.5 * (lo + hi)
-        lm = 0.5 * (lo + mid)
-        rm = 0.5 * (mid + hi)
-        flm = f(lm)
-        frm = f(rm)
-        left = simpson(flo, flm, fmid, mid - lo)
-        right = simpson(fmid, frm, fhi, hi - mid)
-        delta = left + right - whole
+        flm = f(0.5 * (lo + mid))
+        frm = f(0.5 * (mid + hi))
+        # Simpson's rule on each half
+        left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
+        right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
+        both = left + right
+        delta = both - whole
         # |delta|/15 estimates the error of the refined rule.
-        local_tol = max(tol, spec.rel_tol * abs(left + right))
-        if depth >= MAX_DEPTH or abs(delta) <= 15.0 * local_tol:
-            return left + right + delta / 15.0, abs(delta) / 15.0
+        local_tol = rel_tol * abs(both)
+        if depth >= MAX_DEPTH or abs(delta) <= 15.0 * (local_tol if local_tol > tol else tol):
+            return both + delta / 15.0, abs(delta) / 15.0
         if not math.isfinite(delta):
             raise DomainError(f"integrand is not finite on [{lo}, {hi}]")
-        lval, lerr = recurse(lo, mid, flo, flm, fmid, left, tol / 2.0, depth + 1)
-        rval, rerr = recurse(mid, hi, fmid, frm, fhi, right, tol / 2.0, depth + 1)
+        tol /= 2.0
+        lval, lerr = recurse(lo, mid, flo, flm, fmid, left, tol, depth + 1)
+        rval, rerr = recurse(mid, hi, fmid, frm, fhi, right, tol, depth + 1)
         return lval + rval, lerr + rerr
 
     fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = simpson(fa, fm, fb, b - a)
+    fm = f(0.5 * (a + b))
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     return recurse(a, b, fa, fm, fb, whole, spec.abs_tol, 0)

@@ -430,3 +430,69 @@ class TestConditionalPieces:
         assert value == pytest.approx(c_general(1.0, 1).value, abs=1e-8)
         value, _ = c_from_pk_integral(2.0, -1)
         assert value == pytest.approx(c_mary(2).value, abs=1e-8)
+
+
+class TestPinnedBits:
+    """``float.hex`` of the value and error estimate of every constant the
+    benchmark's exact side evaluates: a speed-up of the quadrature or of
+    the integrands must leave every bit in place."""
+
+    TIGHT = QuadratureSpec(rel_tol=1e-13)
+    GENERAL = {
+        # (rho, chi, at rel_tol 1e-13): (value, abs_error_estimate)
+        (2.0, -1, False): ("0x1.c1470474b5c70p-4", "0x1.39b0ca63de311p-35"),
+        (2.0, -1, True): ("0x1.c1470474b5148p-4", "0x1.19799812dea11p-40"),
+        (3.0, -1, False): ("0x1.43d5c1fa28a20p-3", "0x1.6d23e2b4927d9p-35"),
+        (3.0, -1, True): ("0x1.43d5c1fa25b00p-3", "0x1.19799812dea11p-40"),
+        (4.0, -1, False): ("0x1.785dd03271280p-3", "0x1.32b5b8a08bfebp-35"),
+        (4.0, -1, True): ("0x1.785dd03270208p-3", "0x1.19799812dea11p-40"),
+        (5.0, -1, False): ("0x1.98a1585afaeecp-3", "0x1.61f919d4ca156p-35"),
+        (5.0, -1, True): ("0x1.98a1585af79e4p-3", "0x1.19799812dea11p-40"),
+        (1.0, 0, False): ("0x1.0e09bf62a4994p-2", "0x1.10d95177ae318p-36"),
+        (1.0, 0, True): ("0x1.0e09bf62a4978p-2", "0x1.19799812dea11p-40"),
+        (2.0, 1, False): ("0x1.9cb6b7b427268p-2", "0x1.acbb29da5178cp-35"),
+        (2.0, 1, True): ("0x1.9cb6b7b4275d0p-2", "0x1.19799812dea11p-40"),
+        (1.0, 1, False): ("0x1.009cdae137ee4p-1", "0x1.e31b399f9f19dp-35"),
+        (1.0, 1, True): ("0x1.009cdae137ff8p-1", "0x1.19799812dea11p-40"),
+        (0.5, 1, False): ("0x1.402d405b9492ep-1", "0x1.f5e9fbab26cf8p-35"),
+        (0.5, 1, True): ("0x1.402d405b94a5cp-1", "0x1.19799812dea11p-40"),
+        (0.1, 1, False): ("0x1.c000f2889de60p-1", "0x1.fb492f0614524p-35"),
+        (0.1, 1, True): ("0x1.c000f2889e04cp-1", "0x1.19799812dea11p-40"),
+    }
+    MARY = {
+        2: ("0x1.c1470474b5164p-4", "0x1.036e79266ad24p-42"),
+        3: ("0x1.43d5c1fa259c0p-3", "0x1.d2e587e701e60p-42"),
+        4: ("0x1.785dd032701dcp-3", "0x1.2dd0f54dd9aaap-41"),
+        5: ("0x1.98a1585af79b4p-3", "0x1.61b63408d671ep-41"),
+        6: ("0x1.ae612a2b7d1acp-3", "0x1.8cec97b9dbdb4p-41"),
+        7: ("0x1.be00fdba03cd0p-3", "0x1.b20d1b3f258c2p-41"),
+        8: ("0x1.c9c21556d6b28p-3", "0x1.d267166a2d914p-41"),
+    }
+    RRT = ("0x1.0e09bf62a4994p-2", "0x1.10d95177ae318p-36")
+    PK_INTEGRAL = {
+        (2.0, -1): ("0x1.c1470474b51e4p-4", "0x1.115e0f7feeeefp-37"),
+        (5.0, -1): ("0x1.98a1585af7b24p-3", "0x1.2b43b053965fcp-37"),
+        (1.0, 0): ("0x1.0e09bf62a497dp-2", "0x1.1d4adc0684444p-37"),
+        (1.0, 1): ("0x1.009cdae137fe0p-1", "0x1.86a4f936517c0p-38"),
+        (0.1, 1): ("0x1.c000f2889e049p-1", "0x1.b6f80f5cbef14p-40"),
+    }
+
+    @pytest.mark.parametrize("key", list(GENERAL), ids=lambda k: f"{k[0]}/{k[1]}/{'tight' if k[2] else 'default'}")
+    def test_general(self, key):
+        rho, chi, tight = key
+        result = c_general(rho, chi, self.TIGHT) if tight else c_general(rho, chi)
+        assert (result.value.hex(), result.abs_error_estimate.hex()) == self.GENERAL[key]
+
+    @pytest.mark.parametrize("m", list(MARY))
+    def test_mary(self, m):
+        result = c_mary(m)
+        assert (result.value.hex(), result.abs_error_estimate.hex()) == self.MARY[m]
+
+    def test_rrt(self):
+        result = c_rrt()
+        assert (result.value.hex(), result.abs_error_estimate.hex()) == self.RRT
+
+    @pytest.mark.parametrize("key", list(PK_INTEGRAL), ids=lambda k: "{}/{}".format(*k))
+    def test_pk_integral(self, key):
+        value, err = c_from_pk_integral(*key)
+        assert (value.hex(), err.hex()) == self.PK_INTEGRAL[key]

@@ -1,5 +1,6 @@
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 import tuple_core
 from hypothesis import given, settings
@@ -177,6 +178,38 @@ class TestBruteForce:
                 extra.add(v)
                 assert is_resolving(t, extra)
 
+
+
+class TestDistanceMatrix:
+    """The oracle's byte-row distances against breadth-first search."""
+
+    @staticmethod
+    def check(t):
+        matrix = metric_dimension._distance_matrix(t)
+        assert matrix.shape == (t.n, t.n) and matrix.dtype == np.uint8
+        for v in range(t.n):
+            assert matrix[v].tolist() == metric_dimension._distances(t, [v]), v
+        return matrix
+
+    def test_every_small_increasing_tree(self):
+        for n in range(1, 9):
+            for choice in product(*[range(i) for i in range(1, n)]):
+                self.check(build_from_parents([None, *choice]))
+
+    def test_relabelled_random_trees_up_to_the_cap(self):
+        rng = RngSpec(36).stream(0)
+        for shape in ("random", "path", "caterpillar"):
+            for _ in range(40):
+                n = int(rng.integers(1, metric_dimension.BRUTE_FORCE_CAP + 1))
+                root = int(rng.integers(n))
+                self.check(build_from_parents(tuple_core.random_tree(rng, n, shape, True, root)))
+
+    @pytest.mark.parametrize("root", [0, 7, 15])
+    def test_path_and_star_at_the_cap(self, root):
+        path = self.check(build_from_parents(tuple_core.reroot([None] + list(range(15)), root)))
+        assert path.max() == 15  # the largest distance a byte must hold
+        star = self.check(build_from_parents(tuple_core.reroot([None] + [0] * 15, root)))
+        assert star.max() == 2
 
 class TestOracleEquivalence:
     def test_exhaustive_small_increasing_trees(self):
