@@ -3,10 +3,10 @@
 Good to near machine precision for smooth integrands on compact intervals.
 A mild endpoint (Holder-type) singularity, such as the constants' cusps at
 u = 1, ends the refinement near depth 53: a cell there spans two adjacent
-floats, so its points coincide, ``delta`` is exactly 0 and the cell is
-accepted.  ``c_general(0.1, 1)`` accepts 144 such cells (220 at rel_tol =
-1e-13) and ``c_general(5, -1)`` 12 (44).  No constant of the figure grid
-reaches ``MAX_DEPTH``, which is only a backstop.
+floats, so its midpoints round onto its ends, ``delta`` is exactly 0 and
+the cell is accepted.  ``c_general(0.1, 1)`` accepts 144 such cells (220 at
+rel_tol = 1e-13) and ``c_general(5, -1)`` 12 (44).  No point of the figure
+grid reaches ``MAX_DEPTH`` at either tolerance; the cap is only a backstop.
 """
 
 from __future__ import annotations
