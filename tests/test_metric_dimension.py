@@ -179,7 +179,6 @@ class TestBruteForce:
                 assert is_resolving(t, extra)
 
 
-
 class TestDistanceMatrix:
     """The oracle's byte-row distances against breadth-first search."""
 
@@ -210,6 +209,7 @@ class TestDistanceMatrix:
         assert path.max() == 15  # the largest distance a byte must hold
         star = self.check(build_from_parents(tuple_core.reroot([None] + [0] * 15, root)))
         assert star.max() == 2
+
 
 class TestOracleEquivalence:
     def test_exhaustive_small_increasing_trees(self):
