@@ -125,11 +125,9 @@ class ConstantResult:
 def _check_evaluable(rho: float, chi: int) -> None:
     """The evaluators' domain: any growth rule but the rho = 1, chi = -1
     path, with chi = 0 only as random recursive trees (rho = 1)."""
-    if chi == 0:
-        if rho != 1:
-            raise Unsupported(f"chi = 0 is evaluated at rho = 1 only, got rho = {rho}")
-        return
     check_pa(rho, chi, DomainError)
+    if chi == 0 and rho != 1:
+        raise Unsupported(f"chi = 0 is evaluated at rho = 1 only, got rho = {rho}")
     if chi == -1 and rho == 1:
         raise DomainError(
             "rho = 1, chi = -1 grows a deterministic path; the non-path "

@@ -137,7 +137,7 @@ class ExperimentConfig:
                 raise InvalidParams(f"{name} must be an integer, got {count!r}")
             if count < 1:
                 raise InvalidParams(f"{name} must be >= 1, got {count}")
-        if self.n < 2:
+        if _is_int(self.n) and self.n < 2:  # check_size names the rest
             raise InvalidParams(f"tree size must be >= 2, got {self.n}")
         check_size(self.n)
         if self.statistic not in STATISTICS:

@@ -14,8 +14,9 @@ non-root only children above it) tops out at the leaf's climb.  ``is_pk``
 and its count read the pk flags, which mark the leg tops' parents with two
 or more children; ``is_line`` and the line count read the line flags, which
 mark the vertices that climb to a leg top, plus the root when the whole
-tree is a line below it.  Subtree sizes, and the fringe histogram built
-from them, take one pointer-doubling pass over the parent array.
+tree is a line below it.  The fringe histogram counts the tree's cached
+subtree sizes, the one pointer-doubling pass over the parent array, which
+validation has already run for any array not labelled parent-before-child.
 """
 
 from __future__ import annotations
@@ -27,26 +28,6 @@ import numpy as np
 from .errors import IsPath
 from .metric_dimension import md_report
 from .tree import RootedTree, check_vertex
-
-
-def subtree_sizes(tree: RootedTree) -> np.ndarray:
-    """Hanging-subtree sizes by pointer doubling over the parent array.
-
-    After round k, ``size[v]`` counts the vertices u that have v among the
-    first 2^k vertices of their path to the root (u itself included), and
-    ``jump[u]`` is u's 2^k-th ancestor, or the sentinel n above the root,
-    whose bin feeds only itself and is dropped; ``height.bit_length()``
-    rounds in all.  The bins are float64 sums (``np.bincount`` takes only
-    float weights), exact for n < 2^53.
-    """
-    n = tree.n
-    jump = np.append(tree.parents, n)
-    jump[tree.root] = n
-    size = np.ones(n + 1)
-    while jump.min() < n:
-        size += np.bincount(jump, weights=size, minlength=n + 1)
-        jump = jump[jump]
-    return size[:n].astype(np.int64)
 
 
 def is_line(tree: RootedTree, v: int) -> bool:
@@ -89,7 +70,7 @@ def fringe_size_counts(tree: RootedTree) -> dict[int, int]:
 
     Sizes are listed in ascending order.
     """
-    counts = np.bincount(subtree_sizes(tree))
+    counts = np.bincount(tree.sizes)
     keys = counts.nonzero()[0]
     return dict(zip(keys.tolist(), counts[keys].tolist()))
 

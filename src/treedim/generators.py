@@ -143,7 +143,7 @@ class OffspringPmf:
 def check_pa(rho: float, chi: int, error: type[Exception] = InvalidParams) -> None:
     """Raise ``error`` unless weight rho + chi * children(v) is a growth rule:
     chi in {-1, 0, +1}, finite rho > 0, and integer rho when chi = -1."""
-    if chi not in (-1, 0, 1):
+    if not _is_int(chi) or chi not in (-1, 0, 1):
         raise error(f"chi must be -1, 0 or +1, got {chi}")
     if not rho > 0:
         raise error(f"rho must be positive, got {rho}")

@@ -1,7 +1,8 @@
 """Rooted trees on dense integer vertices, plus the on-disk text format.
 
 Vertices are ``0..n-1``.  Exactly one vertex (the root) has no parent.  A
-tree is its validated parent array; outdegrees, each vertex's climb up the
+tree is its validated parent array; outdegrees, subtree sizes (the one
+pointer-doubling pass up the parent chains), each vertex's climb up the
 only-child chains, the leaves' leg tops, the line-subtree flags and
 children lists are derived from it on first use.  A leaf's leg is the leaf
 and the non-root only children above it, so its top is the leaf's climb:
@@ -36,7 +37,8 @@ class RootedTree:
 
     ``parents[v]`` is the parent of ``v``, or -1 for the root, in a read-only
     int64 array.  Derived on first use and cached: ``outdeg[v]`` counts the
-    children of ``v``; ``climb[v]`` is where ``v`` stops climbing through
+    children of ``v``; ``sizes[v]`` counts the subtree hanging below ``v``,
+    ``v`` included; ``climb[v]`` is where ``v`` stops climbing through
     non-root only children; ``legs`` is the climb of each non-root leaf, the
     top of its leg; ``pk_flags[v]`` marks a branch vertex with a line child,
     which is a leg top's parent; ``line[v]`` flags a line subtree below
@@ -66,6 +68,31 @@ class RootedTree:
         counts = np.bincount(self.parents + 1, minlength=self.n + 1)[1:]
         counts.flags.writeable = False
         return counts
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """Hanging-subtree sizes by pointer doubling, read-only.  After round
+        k, ``size[v]`` counts the u with v among the first 2^k vertices of
+        their path to the root, and ``jump[u]`` is u's 2^k-th ancestor or the
+        sentinel n above the root, whose bin is dropped.  Paths to it are at
+        most n long, so a vertex short of it after ``n.bit_length()`` rounds
+        cannot reach the root: :class:`CycleDetected` names the smallest.
+        Float64 bins (``np.bincount`` weights), exact for n < 2^53."""
+        n = self.n
+        jump = np.append(self.parents, n)
+        jump[self.root] = n
+        size = np.ones(n + 1)
+        for _ in range(n.bit_length() + 1):  # one check more than rounds
+            if jump.min() == n:
+                break
+            size += np.bincount(jump, weights=size, minlength=n + 1)
+            jump = jump[jump]
+        else:
+            v = int((jump < n).argmax())
+            raise CycleDetected(f"vertex {v} cannot reach the root (parent cycle)", vertex=v)
+        sizes = size[:n].astype(np.int64)
+        sizes.flags.writeable = False
+        return sizes
 
     @cached_property
     def climb(self) -> np.ndarray:
@@ -156,6 +183,8 @@ def build_from_parents(parents) -> RootedTree:
     for the smallest vertex whose own entry is bad (a second root, a
     non-integer or out-of-range parent, itself as parent), then for a
     missing root, then for the smallest vertex that cannot reach the root.
+    Any array but root 0 with every parent below its child is checked by
+    computing the tree's ``sizes``, which it keeps.
     """
     if isinstance(parents, np.ndarray):
         if parents.ndim != 1 or parents.dtype.kind != "i":
@@ -204,19 +233,9 @@ def build_from_parents(parents) -> RootedTree:
     if not roots.size:
         raise NoRoot("every vertex has a parent; no root")
 
-    # Pointer doubling: after k rounds anc[v] is the 2^k-th ancestor of v
-    # or the root, and every chain to the root is shorter than n.
-    root = int(roots[0])
-    anc = arr.copy()
-    anc[root] = root
-    for _ in range(n.bit_length()):
-        anc = anc[anc]
-        if (anc == root).all():
-            return RootedTree(parents=arr, root=root)
-    start = int((anc != root).argmax())
-    raise CycleDetected(
-        f"vertex {start} cannot reach the root (parent cycle)", vertex=start
-    )
+    tree = RootedTree(parents=arr, root=int(roots[0]))
+    tree.sizes  # every vertex must reach the root
+    return tree
 
 
 def check_vertex(tree: RootedTree, v: int) -> None:

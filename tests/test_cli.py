@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from treedim import build_from_parents, write_tree
+from treedim import build_from_parents, verify, write_tree
 from treedim.cli import main
 from treedim.experiments import PAModel, default_reference
 
@@ -200,6 +200,13 @@ class TestConstant:
         code, out, _ = run(capsys, "constant", "--model", "gw", "--pmf", str(pmf))
         assert code == 0 and "0.125" in out
 
+    def test_pmf_file_blank_lines_skipped(self, tmp_path, capsys):
+        pmf = tmp_path / "pmf.txt"
+        pmf.write_text("0.5\n0\n0.5\n")
+        expected = run(capsys, "constant", "--model", "gw", "--pmf", str(pmf))
+        pmf.write_text("\n0.5\n  \n0\n\n0.5\n\n")
+        assert run(capsys, "constant", "--model", "gw", "--pmf", str(pmf)) == expected
+
     @pytest.mark.parametrize("tol", ["inf", "1e300"])
     def test_useless_tolerance_refused(self, capsys, tol):
         code, out, err = run(capsys, "constant", "--model", "rrt", "--tol", tol)
@@ -367,6 +374,16 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "all", "--seed", "-1")
         assert code == 2 and out == ""
         assert err.startswith("error:") and "master_seed" in err
+
+    def test_unknown_suite_refused_before_any_suite(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        for name in dir(verify):
+            if name.startswith("criterion_"):
+                monkeypatch.setattr(verify, name, fail)
+        with pytest.raises(KeyError, match="unknown suite 'nope'"):
+            verify.run_suite("nope")
 
     def test_help_lists_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:

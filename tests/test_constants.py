@@ -103,6 +103,12 @@ class TestQuadrature:
         backward, _ = adaptive_simpson(math.exp, 1.0, 0.0)
         assert backward == -forward
 
+    def test_empty_interval(self):
+        def never(x):
+            raise AssertionError("integrand evaluated")
+
+        assert adaptive_simpson(never, 0.5, 0.5) == (0.0, 0.0)
+
     def test_spec_validation(self):
         with pytest.raises(DomainError):
             QuadratureSpec(rel_tol=-1)
@@ -257,6 +263,13 @@ class TestGeneralConstant:
     def test_chi_zero_requires_unit_rho(self):
         with pytest.raises(Unsupported):
             c_general(2.0, 0)
+
+    @pytest.mark.parametrize(
+        "rho,chi", [(2.0, True), (2.0, 1.0), (1.0, 0.0), (1.0, False), (2.0, -1.0)], ids=repr
+    )
+    def test_chi_must_be_an_integer(self, rho, chi):
+        with pytest.raises(DomainError, match=rf"^chi must be -1, 0 or \+1, got {chi}$"):
+            c_general(rho, chi)
 
     def test_large_rho_keeps_quadrature_when_mary_overflows(self):
         # c_mary(200) is Unsupported; the quadrature still holds there.

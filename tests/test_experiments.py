@@ -59,7 +59,9 @@ class TestConfig:
     @pytest.mark.parametrize(
         "n,message",
         [(50.5, "must be an integer, got 50.5"), (3.0, "must be an integer, got 3.0"),
-         (True, "must be >= 2, got True")],
+         (True, "must be an integer, got True"), ("5", "must be an integer, got '5'"),
+         (None, "must be an integer, got None"), (1.5, "must be an integer, got 1.5"),
+         (0, "must be >= 2, got 0"), (1, "must be >= 2, got 1")],
     )
     def test_non_integer_size_refused(self, n, message):
         with pytest.raises(InvalidParams, match=rf"tree size {message}$"):

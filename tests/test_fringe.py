@@ -18,7 +18,6 @@ from treedim import (
     sample_uniform_tree,
 )
 from treedim.errors import IsPath, VertexOutOfRange
-from treedim.fringe import subtree_sizes
 
 
 def chain(n):
@@ -68,6 +67,17 @@ class TestPredicates:
 class TestCounts:
     def test_chain_pl(self):
         assert count_subtree_property(chain(3), is_pl) == 1
+
+    def test_custom_predicate_counted_per_vertex(self):
+        t = sample_uniform_tree(200, RngSpec(4).stream(0))
+        seen = []
+
+        def cherry(tree, v):
+            seen.append(v)
+            return tree.sizes[v] == 2
+
+        assert count_subtree_property(t, cherry) == np.count_nonzero(t.sizes == 2)
+        assert seen == list(range(t.n))
 
     def test_cherry_pk(self):
         assert count_subtree_property(star(2), is_pk) == 1
@@ -177,7 +187,7 @@ class TestTupleCoreOracle:
         assert md_report(t).is_path == all(
             len(kids) <= 1 + (v == ref.root) for v, kids in enumerate(ref.children)
         )
-        assert subtree_sizes(t).tolist() == sizes
+        assert t.sizes.tolist() == sizes
         assert count_subtree_property(t, is_line) == sum(flags)
         assert count_subtree_property(t, is_pl) == sum(not kids for kids in ref.children)
         assert count_subtree_property(t, is_pk) == sum(pk)
@@ -204,7 +214,7 @@ def broom(rng, n: int, h: int) -> list[int | None]:
 def assert_sizes_match(parents):
     t = build_from_parents(parents)
     sizes = tuple_core.subtree_sizes(tuple_core.build_from_parents(parents))
-    assert subtree_sizes(t).tolist() == sizes
+    assert t.sizes.tolist() == sizes
     assert list(fringe_size_counts(t).items()) == sorted(Counter(sizes).items())
 
 

@@ -31,7 +31,6 @@ from treedim import (
 )
 from treedim import generators
 from treedim.errors import InvalidParams, InvalidPmf, TreeStructureError, UnreachableSize
-from treedim.fringe import subtree_sizes
 from treedim.generators import _lukasiewicz_parents, _stable_order, sample_uniform_shape
 from treedim.tree import build_from_parents
 from treedim.verify import EMBEDDING_PARAMS, FIGURE_GRID
@@ -404,6 +403,21 @@ class TestPATree:
             with pytest.raises(InvalidParams, match="finite"):
                 PAParams(math.inf, chi)
 
+    @pytest.mark.parametrize("chi", [True, False, 1.0, 0.0, -1.0, np.float64(1.0)], ids=repr)
+    def test_chi_must_be_an_integer(self, chi):
+        with pytest.raises(InvalidParams, match=rf"^chi must be -1, 0 or \+1, got {chi}$"):
+            PAParams(2.0, chi)
+
+    def test_m_one_slot_rule_is_a_path(self):
+        # rho = 1, chi = -1: the root's one slot passes down, so vertex v
+        # attaches to v - 1; the n - 1 uniforms are still drawn.
+        n = 50
+        rng, twin = RngSpec(3).stream(0), RngSpec(3).stream(0)
+        t = sample_pa_tree(PAParams(1, -1), n, rng)
+        assert t.parents.tolist() == [-1, *range(n - 1)]
+        twin.random(n - 1)
+        assert rng.random() == twin.random()
+
     def test_left_size_uniform_after_random_orientation(self):
         # In a binary search tree the left-subtree size is uniform on
         # 0..k-1; the growth chain does not carry left/right labels, so a
@@ -414,7 +428,7 @@ class TestPATree:
         counts = np.zeros(k, dtype=int)
         for _ in range(trials):
             t = sample_pa_tree(PAParams(2.0, -1), k, rng)
-            sizes = subtree_sizes(t).tolist()
+            sizes = t.sizes.tolist()
             first = sizes[t.children[t.root][0]]
             other = (k - 1) - first
             s = first if rng.random() < 0.5 else other

@@ -72,6 +72,18 @@ class TestReport:
             assert len(report.leaves) > len(report.exterior_major)
 
 
+class TestReportEquality:
+    def test_equal_reports_hash_equal(self):
+        a, b = md_report(chain(5)), md_report(build_from_parents([1, 2, 3, 4, None]))
+        assert a == b and hash(a) == hash(b)
+        assert a != md_report(chain(4))
+
+    def test_other_types_not_implemented(self):
+        report = md_report(chain(3))
+        assert report.__eq__(report.beta) is NotImplemented
+        assert report != (report.leaves, report.exterior_major, report.beta, report.is_path)
+
+
 class TestResolving:
     def test_path_end_vertex_resolves(self):
         assert is_resolving(chain(3), {0})

@@ -257,6 +257,19 @@ class TestTupleCoreOracle:
             t.parents[1] = 2
 
 
+class TestEquality:
+    def test_equal_trees_hash_equal(self):
+        a, b = build_from_parents([None, 0, 0, 1]), build_from_parents(np.array([-1, 0, 0, 1]))
+        assert a == b and hash(a) == hash(b)
+        assert a != build_from_parents([None, 0, 1, 1])
+        assert a != build_from_parents([1, None, 0, 1])
+
+    def test_other_types_not_implemented(self):
+        t = build_from_parents([None, 0])
+        assert t.__eq__(t.parents) is NotImplemented
+        assert t != (-1, 0) and t != "t"
+
+
 class TestDegrees:
     def test_single(self):
         t = build_from_parents([None])
@@ -327,6 +340,29 @@ class TestChainEnds:
             assert t.line.tolist() == flags, root
             assert t.pk_flags.tolist() == tuple_core.pk_flags(ref), root
             assert md_report(t) == tuple_core.md_report(ref), root
+            assert t.sizes.tolist() == tuple_core.subtree_sizes(ref), root
+
+    @pytest.mark.parametrize("k", [6, 12])
+    def test_chain_below_a_cycle_is_stranded(self, k):
+        # A root with a 2^k-step path below it, and a 2^k-vertex chain
+        # hanging from a parent 3-cycle: the doubling rounds run out with
+        # every vertex of the chain and the cycle short of the root.
+        length = 2**k
+        path = [None, *range(length)]
+        cycle = [len(path) + 2, len(path), len(path) + 1]
+        hang = len(path) + 3
+        chain_below = [len(path), *range(hang, hang + length - 1)]
+        parents = path + cycle + chain_below
+        n = len(parents)
+        perm = np.random.default_rng([k, n]).permutation(n).tolist()
+        shuffled = tuple_core.relabel(parents, perm)
+        stranded = min(perm[len(path):])
+        with pytest.raises(CycleDetected) as err:
+            build_from_parents(shuffled)
+        assert err.value.vertex == stranded
+        assert str(err.value) == f"vertex {stranded} cannot reach the root (parent cycle)"
+        assert_same_build(shuffled, shuffled)
+        assert_same_build(np.array([-1 if p is None else p for p in shuffled]), shuffled)
 
 
 def spider(legs) -> list[int | None]:
