@@ -21,12 +21,18 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InvalidPmf, Unsupported
-from .generators import OffspringPmf, check_pa
+from .generators import OffspringPmf, check_count, check_pa
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, adaptive_simpson
+from .tree import _is_int
 
 # ---------------------------------------------------------------------------
 # Special functions
 # ---------------------------------------------------------------------------
+
+
+# Iteration cap of both branches of ``lower_incomplete_gamma``; reaching it
+# raises rather than return an unconverged value.
+GAMMA_MAX_ITER = 500
 
 
 def lower_incomplete_gamma(s: float, t: float) -> float:
@@ -35,78 +41,63 @@ def lower_incomplete_gamma(s: float, t: float) -> float:
     Series representation for t < s + 1, continued-fraction complement
     (modified Lentz) otherwise; relative accuracy about 1e-14 in the
     argument range used here.  Standard split following Numerical Recipes.
+    Raises :class:`DomainError` unless s > 0 and t >= 0 are finite, on
+    overflow, and when its branch does not converge in ``GAMMA_MAX_ITER`` steps.
     """
-    if s <= 0:
-        raise DomainError(f"lower_incomplete_gamma requires s > 0, got {s}")
-    if t < 0:
-        raise DomainError(f"lower_incomplete_gamma requires t >= 0, got {t}")
+    if not 0 < s < math.inf:  # also catches NaN
+        raise DomainError(f"lower_incomplete_gamma requires finite s > 0, got {s}")
+    if not 0 <= t < math.inf:
+        raise DomainError(f"lower_incomplete_gamma requires finite t >= 0, got {t}")
     if t == 0.0:
         return 0.0
     try:
-        return _lower_incomplete_gamma(s, t)
+        lgam = math.lgamma(s)
+        if t < s + 1.0:
+            # gamma(s,t) = t^s e^-t sum_k t^k / (s (s+1) ... (s+k))
+            term = 1.0 / s
+            total = term
+            k = s
+            for _ in range(GAMMA_MAX_ITER):
+                k += 1.0
+                term *= t / k
+                total += term
+                if abs(term) < abs(total) * 1e-16:
+                    return total * math.exp(-t + s * math.log(t))
+        else:
+            # Upper tail Q(s,t) by Lentz continued fraction, then gamma = (1-Q)Gamma.
+            tiny = 1e-300
+            b = t + 1.0 - s
+            c = 1.0 / tiny
+            d = 1.0 / b
+            h = d
+            for i in range(1, GAMMA_MAX_ITER + 1):
+                an = -i * (i - s)
+                b += 2.0
+                d = an * d + b
+                if abs(d) < tiny:
+                    d = tiny
+                c = b + an / c
+                if abs(c) < tiny:
+                    c = tiny
+                d = 1.0 / d
+                delta = d * c
+                h *= delta
+                if abs(delta - 1.0) < 1e-16:
+                    upper = math.exp(-t + s * math.log(t) - lgam) * h
+                    return math.exp(lgam) * (1.0 - upper)
     except OverflowError:
         raise DomainError(
             f"lower_incomplete_gamma({s}, {t}) overflows double precision"
         ) from None
-
-
-# Iteration cap of both branches of ``_lower_incomplete_gamma``; reaching it
-# raises rather than return an unconverged value.
-GAMMA_MAX_ITER = 500
-
-
-def _unconverged(s: float, t: float) -> DomainError:
-    return DomainError(
+    raise DomainError(
         f"lower_incomplete_gamma({s}, {t}) did not converge in {GAMMA_MAX_ITER} iterations"
     )
 
 
-def _lower_incomplete_gamma(s: float, t: float) -> float:
-    lgam = math.lgamma(s)
-    if t < s + 1.0:
-        # gamma(s,t) = t^s e^-t sum_k t^k / (s (s+1) ... (s+k))
-        term = 1.0 / s
-        total = term
-        k = s
-        for _ in range(GAMMA_MAX_ITER):
-            k += 1.0
-            term *= t / k
-            total += term
-            if abs(term) < abs(total) * 1e-16:
-                break
-        else:
-            raise _unconverged(s, t)
-        return total * math.exp(-t + s * math.log(t))
-    # Upper tail Q(s,t) by Lentz continued fraction, then gamma = (1-Q)Gamma.
-    tiny = 1e-300
-    b = t + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, GAMMA_MAX_ITER + 1):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    else:
-        raise _unconverged(s, t)
-    upper = math.exp(-t + s * math.log(t) - lgam) * h
-    return math.exp(lgam) * (1.0 - upper)
-
-
 def trinomial(m: int, i: int, j: int) -> int:
-    """m! / (i! j! (m-i-j)!), exact."""
-    if i < 0 or j < 0 or i + j > m:
-        raise DomainError(f"trinomial requires 0 <= i, j and i+j <= m, got ({m},{i},{j})")
+    """m! / (i! j! (m-i-j)!), exact, for integers (:func:`tree._is_int`)."""
+    if not (_is_int(m) and _is_int(i) and _is_int(j)) or i < 0 or j < 0 or i + j > m:
+        raise DomainError(f"trinomial requires integers 0 <= i, j and i+j <= m, got ({m},{i},{j})")
     return math.comb(m, i) * math.comb(m - i, j)
 
 
@@ -202,28 +193,25 @@ def _mary_coefficient(m: int, i: int, j: int) -> float:
 
 
 def c_mary(m: int) -> ConstantResult:
-    """Limit constant for m-slot increasing trees, m >= 2 (m = 2: BSTs)."""
-    if int(m) != m or m < 2:
-        raise DomainError(f"c_mary requires an integer m >= 2, got {m}")
+    """Limit constant for m-slot increasing trees, integer m >= 2 (m = 2:
+    BSTs; 2.0 is refused); :class:`Unsupported` from m = 144 on (overflow)."""
+    check_count(m, "m", 2, DomainError)
+    m = int(m)
     try:
-        return _mary_series(int(m))
+        first = sum(
+            (m - 1) / ((m - 1 + j) * m**j) * math.comb(m, j) for j in range(1, m + 1)
+        )
+        second = 0.0
+        magnitude = abs(first)
+        for i in range(1, m + 1):
+            for j in range(0, m - i + 1):
+                s = (i + j) / (m - 1) + 1.0
+                t = i * m / (m - 1)
+                term = _mary_coefficient(m, i, j) * lower_incomplete_gamma(s, t)
+                second += term
+                magnitude += abs(term)
     except OverflowError:
         raise Unsupported(f"c_mary({m}) overflows double precision") from None
-
-
-def _mary_series(m: int) -> ConstantResult:
-    first = sum(
-        (m - 1) / ((m - 1 + j) * m**j) * math.comb(m, j) for j in range(1, m + 1)
-    )
-    second = 0.0
-    magnitude = abs(first)
-    for i in range(1, m + 1):
-        for j in range(0, m - i + 1):
-            s = (i + j) / (m - 1) + 1.0
-            t = i * m / (m - 1)
-            term = _mary_coefficient(m, i, j) * lower_incomplete_gamma(s, t)
-            second += term
-            magnitude += abs(term)
     # Terms cancel heavily; bound rounding by the summed magnitudes.
     est = max(1e-14, magnitude * 1e-13)
     return ConstantResult(value=first + second, abs_error_estimate=est, method="series")

@@ -23,6 +23,7 @@ from .generators import (
     OffspringPmf,
     PAParams,
     RngSpec,
+    check_count,
     check_size,
     sample_conditioned_gw,
     sample_pa_tree,
@@ -30,7 +31,7 @@ from .generators import (
     sample_uniform_tree,
 )
 from .metric_dimension import md_report
-from .tree import RootedTree, _is_int
+from .tree import RootedTree
 
 # Statistic name -> the count it divides by the tree size.  ``md_report``
 # is looked up when a trial runs, so a rebinding of the module name is seen.
@@ -132,13 +133,8 @@ class ExperimentConfig:
         if not isinstance(self.model, ModelSpec):
             raise InvalidParams(f"unknown model {self.model!r}")
         for name in ("trials", "workers"):
-            count = getattr(self, name)
-            if not _is_int(count):
-                raise InvalidParams(f"{name} must be an integer, got {count!r}")
-            if count < 1:
-                raise InvalidParams(f"{name} must be >= 1, got {count}")
-        if _is_int(self.n) and self.n < 2:  # check_size names the rest
-            raise InvalidParams(f"tree size must be >= 2, got {self.n}")
+            check_count(getattr(self, name), name, 1)
+        check_count(self.n, "tree size", 2)
         check_size(self.n)
         if self.statistic not in STATISTICS:
             raise InvalidParams(f"unknown statistic {self.statistic!r}")

@@ -36,13 +36,18 @@ _MASK64 = (1 << 64) - 1
 MAX_TREE_SIZE = 2**53  # float64 picks and subtree-size sums are exact up to here
 
 
+def check_count(x: int, name: str, least: int, error: type[Exception] = InvalidParams) -> None:
+    """Raise ``error`` unless x is an integer (``tree._is_int``) >= ``least``."""
+    if not _is_int(x):
+        raise error(f"{name} must be an integer, got {x!r}")
+    if x < least:
+        raise error(f"{name} must be >= {least}, got {x}")
+
+
 def check_size(n: int) -> None:
     """Raise :class:`InvalidParams` unless n is an integer with 1 <= n <=
     ``MAX_TREE_SIZE``; every sampler calls it before its first draw."""
-    if not _is_int(n):
-        raise InvalidParams(f"tree size must be an integer, got {n!r}")
-    if n < 1:
-        raise InvalidParams(f"tree size must be >= 1, got {n}")
+    check_count(n, "tree size", 1)
     if n > MAX_TREE_SIZE:
         raise InvalidParams(f"tree size must be <= 2^53, got {n}")
 
@@ -64,10 +69,7 @@ class RngSpec:
             raise InvalidParams("master_seed must fit in 64 unsigned bits")
 
     def stream(self, trial: int = 0) -> np.random.Generator:
-        if not _is_int(trial):
-            raise InvalidParams(f"trial index must be an integer, got {trial!r}")
-        if trial < 0:
-            raise InvalidParams(f"trial index must be >= 0, got {trial}")
+        check_count(trial, "trial index", 0)
         seq = np.random.SeedSequence((self.master_seed, trial))
         return np.random.Generator(np.random.PCG64(seq))
 
@@ -142,9 +144,11 @@ class OffspringPmf:
 
 def check_pa(rho: float, chi: int, error: type[Exception] = InvalidParams) -> None:
     """Raise ``error`` unless weight rho + chi * children(v) is a growth rule:
-    chi in {-1, 0, +1}, finite rho > 0, and integer rho when chi = -1."""
+    chi in {-1, 0, +1}, finite rho > 0 (not a bool), and integer rho when chi = -1."""
     if not _is_int(chi) or chi not in (-1, 0, 1):
         raise error(f"chi must be -1, 0 or +1, got {chi}")
+    if isinstance(rho, bool):
+        raise error(f"rho must be a number, not a bool, got {rho}")
     if not rho > 0:
         raise error(f"rho must be positive, got {rho}")
     if not math.isfinite(rho):
@@ -312,10 +316,14 @@ def _copy_attach(rho: float, n: int, rng: np.random.Generator) -> np.ndarray:
     uniform earlier non-root vertex, which is u with probability
     children(u) / (v - 1) (Batagelj & Brandes, Phys. Rev. E 71, 036113, 2005).
     So v's parent is the pick at the end of its copy chain (``_follow``).
+    Where rho v overflows to inf, v copies with probability below 2^-53,
+    which no draw of u[0] resolves, so v picks directly.
     """
     v = np.arange(1, n)
     u = rng.random((2, n - 1))
-    direct = u[0] * (rho * v + v - 1) < rho * v
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = float(rho) * v
+        direct = (u[0] * (w + v - 1) < w) | (w == math.inf)
     # src[v] is the parent v picks directly, else the vertex v copies.
     src = np.zeros(n, dtype=np.int64)
     src[1:] = np.where(direct, u[1] * v, 1 + u[1] * (v - 1)).astype(np.int64)

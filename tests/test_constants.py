@@ -59,6 +59,16 @@ class TestIncompleteGamma:
         with pytest.raises(DomainError, match=r"\(172, 300\)"):
             lower_incomplete_gamma(172, 300)
 
+    @pytest.mark.parametrize(
+        "s, t, name",
+        [(1, math.nan, "t"), (math.nan, 1, "s"), (1, math.inf, "t"), (math.inf, 1, "s")],
+        ids=repr,
+    )
+    def test_non_finite_refused_up_front(self, monkeypatch, s, t, name):
+        monkeypatch.setattr(constants, "GAMMA_MAX_ITER", 0)  # no iteration is needed
+        with pytest.raises(DomainError, match=rf"requires finite {name} "):
+            lower_incomplete_gamma(s, t)
+
     @pytest.mark.parametrize("s, t", [(5.5, 2.5), (1.5, 6.25)], ids=["series", "lentz"])
     def test_unconverged_is_a_domain_error(self, monkeypatch, s, t):
         lower_incomplete_gamma(s, t)  # converges within the shipped cap
@@ -83,6 +93,13 @@ class TestTrinomial:
             trinomial(3, 2, 2)
         with pytest.raises(DomainError):
             trinomial(3, -1, 1)
+
+    @pytest.mark.parametrize(
+        "args", [(3, 1.5, 0), (3.0, 1, 1), (3, 1, True), (math.nan, 0, 0), (math.inf, 1, 1)], ids=repr
+    )
+    def test_non_integers_refused(self, args):
+        with pytest.raises(DomainError, match=r"^trinomial requires integers"):
+            trinomial(*args)
 
 
 class TestQuadrature:
@@ -203,6 +220,11 @@ class TestMaryConstant:
         with pytest.raises(DomainError):
             c_mary(1)
 
+    @pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf, 2.0, True, "3"], ids=repr)
+    def test_m_follows_the_integer_rule(self, m):
+        with pytest.raises(DomainError, match=rf"^m must be an integer, got {m!r}$"):
+            c_mary(m)
+
     def test_overflow_is_unsupported(self):
         assert 0.0 < c_mary(143).value < 1.0
         for m in (144, 200):
@@ -293,6 +315,15 @@ class TestGeneralConstant:
     def test_infinite_rho_rejected(self):
         with pytest.raises(DomainError, match="finite"):
             c_general(math.inf, -1)
+
+    @pytest.mark.parametrize("chi", [-1, 0, 1])
+    def test_bool_rho_refused(self, chi):
+        message = r"^rho must be a number, not a bool, got True$"
+        for evaluate in (c_general, p_leaf, c_from_pk_integral):
+            with pytest.raises(DomainError, match=message):
+                evaluate(True, chi)
+        with pytest.raises(DomainError, match=message):
+            q_line_prob(True, chi, 1.0)
 
     def test_all_constants_in_unit_interval(self):
         values = [

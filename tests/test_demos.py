@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+EXPECTED = Path(__file__).resolve().parent / "demo_output"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -16,3 +18,7 @@ def test_demo_runs(demo, tmp_path):
         [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+    # The one run-dependent part of any output: the directory that
+    # ``tempfile.mkdtemp`` makes under TMPDIR.
+    out = re.sub(re.escape(str(tmp_path)) + r"[/\\][^/\\]+", "<tmpdir>", proc.stdout)
+    assert out == (EXPECTED / f"{demo.stem}.txt").read_text(encoding="utf-8")

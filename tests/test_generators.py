@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 from collections import Counter
 from itertools import product
 
@@ -31,7 +32,12 @@ from treedim import (
 )
 from treedim import generators
 from treedim.errors import InvalidParams, InvalidPmf, TreeStructureError, UnreachableSize
-from treedim.generators import _lukasiewicz_parents, _stable_order, sample_uniform_shape
+from treedim.generators import (
+    _lukasiewicz_parents,
+    _stable_order,
+    check_count,
+    sample_uniform_shape,
+)
 from treedim.tree import build_from_parents
 from treedim.verify import EMBEDDING_PARAMS, FIGURE_GRID
 
@@ -408,6 +414,22 @@ class TestPATree:
         with pytest.raises(InvalidParams, match=rf"^chi must be -1, 0 or \+1, got {chi}$"):
             PAParams(2.0, chi)
 
+    @pytest.mark.parametrize("chi", [-1, 0, 1])
+    def test_bool_rho_refused(self, chi):
+        with pytest.raises(InvalidParams, match=r"^rho must be a number, not a bool, got True$"):
+            PAParams(True, chi)
+
+    @pytest.mark.parametrize("rho", [1e17, 1e305, 1e308, 10**30], ids=repr)
+    def test_huge_rho_picks_directly(self, rho):
+        # Copying has probability below 1/rho: every vertex takes its direct
+        # pick, also where rho v overflows and for a Python int rho.
+        n = 2000
+        u = np.random.default_rng(1).random((2, n - 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = sample_pa_tree(PAParams(rho, 1), n, np.random.default_rng(1))
+        assert t.parents[1:].tolist() == (u[1] * np.arange(1, n)).astype(np.int64).tolist()
+
     def test_m_one_slot_rule_is_a_path(self):
         # rho = 1, chi = -1: the root's one slot passes down, so vertex v
         # attaches to v - 1; the n - 1 uniforms are still drawn.
@@ -625,6 +647,17 @@ class TestSizeRule:
         for name, sampler in SAMPLERS.items():
             tree = sampler(np.int64(5), RngSpec(12).stream(0))
             assert tree == sampler(5, RngSpec(12).stream(0)), name
+
+
+class TestCheckCount:
+    def test_integer_then_lower_bound(self):
+        check_count(np.int64(3), "k", 3)
+        for x, message in [(2, "^k must be >= 3, got 2$"), (3.0, "^k must be an integer, got 3.0$"),
+                           (math.nan, "^k must be an integer, got nan$"), (True, "^k must be an integer, got True$")]:
+            with pytest.raises(InvalidParams, match=message):
+                check_count(x, "k", 3)
+        with pytest.raises(UnreachableSize, match="^k must be >= 0, got -1$"):
+            check_count(-1, "k", 0, UnreachableSize)
 
 
 class TestGoldenStreams:
