@@ -650,12 +650,22 @@ class TestSizeRule:
 
 
 class TestCheckCount:
-    def test_integer_then_lower_bound(self):
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            (2, "^k must be >= 3, got 2$"),
+            (3.0, "^k must be an integer, got 3.0$"),
+            (math.nan, "^k must be an integer, got nan$"),
+            (True, "^k must be an integer, got True$"),
+        ],
+        ids=repr,
+    )
+    def test_integer_then_lower_bound(self, x, message):
         check_count(np.int64(3), "k", 3)
-        for x, message in [(2, "^k must be >= 3, got 2$"), (3.0, "^k must be an integer, got 3.0$"),
-                           (math.nan, "^k must be an integer, got nan$"), (True, "^k must be an integer, got True$")]:
-            with pytest.raises(InvalidParams, match=message):
-                check_count(x, "k", 3)
+        with pytest.raises(InvalidParams, match=message):
+            check_count(x, "k", 3)
+
+    def test_error_type_is_the_callers(self):
         with pytest.raises(UnreachableSize, match="^k must be >= 0, got -1$"):
             check_count(-1, "k", 0, UnreachableSize)
 

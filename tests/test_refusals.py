@@ -10,7 +10,6 @@ import pytest
 
 import treedim as td
 from treedim.errors import TreedimError
-from treedim.experiments import ExperimentSummary
 from treedim.generators import sample_uniform_shape
 
 AWKWARD = {
@@ -27,7 +26,7 @@ AWKWARD = {
 POISSON = td.OffspringPmf.poisson()
 PA = td.PAParams(2.0, 1)
 TREE = td.build_from_parents([None, 0, 0, 1, 1, 2])
-SUMMARY = ExperimentSummary(
+SUMMARY = td.ExperimentSummary(
     model="uniform", rho=None, chi=None, n=10, trials=2, seed=1, statistic="beta_over_n",
     mean=0.2, stddev=0.01, stderr=0.007, ci_lo=0.186, ci_hi=0.214, constant=0.2,
     abs_diff=0.0,
