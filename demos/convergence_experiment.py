@@ -39,10 +39,11 @@ print(
     f"{'inside' if report.within_band else 'outside'})"
 )
 
-path = os.path.join(tempfile.mkdtemp(), "bst_convergence.csv")
-export(summaries, path)
-print(f"\nexported {len(summaries)} rows to {path}:")
-with open(path, encoding="utf-8", newline="") as fh:
-    for row in csv.DictReader(fh):
-        mean, constant = float(row["mean"]), float(row["constant"])
-        print(f"  n={row['n']}: mean={mean:.5f}, constant={constant:.5f}")
+with tempfile.TemporaryDirectory() as folder:
+    path = os.path.join(folder, "bst_convergence.csv")
+    export(summaries, path)
+    print(f"\nexported {len(summaries)} rows to {path}:")
+    with open(path, encoding="utf-8", newline="") as fh:
+        for row in csv.DictReader(fh):
+            mean, constant = float(row["mean"]), float(row["constant"])
+            print(f"  n={row['n']}: mean={mean:.5f}, constant={constant:.5f}")

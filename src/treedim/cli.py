@@ -39,7 +39,7 @@ from .generators import OffspringPmf, PAParams, RngSpec, simulate_cmj
 from .metric_dimension import BRUTE_FORCE_CAP, brute_force_md, md_report
 from .quadrature import QuadratureSpec
 from .tree import read_tree, serialize, write_tree
-from .verify import DEFAULT_SEED, format_table, run_suite
+from .verify import DEFAULT_SEED, SUITES, format_table, run_suite
 
 
 def _threads(value: int | None) -> int:
@@ -79,11 +79,15 @@ def _load_pmf(path: str | None) -> OffspringPmf:
 
 def _refuse_existing(out: str | None, force: bool) -> None:
     """Called before any work, so a refused ``--out`` costs nothing."""
-    if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
+    if out is None:
+        return
+    if not out:
+        raise TreedimError("--out must name a file, got ''")
+    if not os.path.isdir(os.path.dirname(out) or "."):
         raise TreedimError(f"{out}: no such directory")
-    if out is not None and os.path.isdir(out):
+    if os.path.isdir(out):
         raise TreedimError(f"{out} is a directory")
-    if out is not None and os.path.exists(out) and not force:
+    if os.path.exists(out) and not force:
         raise TreedimError(f"{out} exists; pass --force to overwrite")
 
 
@@ -191,7 +195,7 @@ def _cmd_experiment(args) -> int:
     if args.compare and config.reference is None:
         raise TreedimError("no reference constant exists for this configuration")
     summary = run_experiment(config)
-    if args.out:
+    if args.out is not None:
         export([summary], args.out, overwrite=args.force)
     print(
         f"{summary.model} n={summary.n} trials={summary.trials} "
@@ -280,10 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex.set_defaults(func=_cmd_experiment)
 
     ve = sub.add_parser("verify", help="run acceptance suites")
-    ve.add_argument(
-        "suite",
-        choices=("slater", "embedding", "fringe", "constants", "figure1", "all"),
-    )
+    ve.add_argument("suite", choices=(*SUITES, "all"))
     ve.add_argument("--seed", type=int, default=DEFAULT_SEED, help="suite seed")
     ve.add_argument("--threads", type=int, help="worker count for simulations")
     ve.set_defaults(func=_cmd_verify)

@@ -63,9 +63,8 @@ class RngSpec:
     master_seed: int
 
     def __post_init__(self):
-        if not _is_int(self.master_seed):
-            raise InvalidParams(f"master_seed must be an integer, got {self.master_seed!r}")
-        if not 0 <= self.master_seed <= _MASK64:
+        check_count(self.master_seed, "master_seed", 0)
+        if self.master_seed > _MASK64:
             raise InvalidParams("master_seed must fit in 64 unsigned bits")
 
     def stream(self, trial: int = 0) -> np.random.Generator:
@@ -437,10 +436,13 @@ def sample_H(lam: float, nu: float, rng: np.random.Generator) -> float:
 
     Simulates the race directly: after the j-th stream point, an Exp(j nu)
     alarm competes with the next stream gap; the first alarm that fires
-    before its gap ends the race.
+    before its gap ends the race.  That takes about sqrt(pi lam / (2 nu))
+    rounds, so lam / nu is capped at 1e12 (about 1.3e6 rounds).
     """
     if not (0 < lam < math.inf and 0 < nu < math.inf):
         raise InvalidParams(f"sample_H requires finite positive rates, got ({lam}, {nu})")
+    if lam > 1e12 * nu:
+        raise InvalidParams(f"sample_H requires lam <= 1e12 nu, got ({lam}, {nu})")
     pi = rng.exponential(1.0 / lam)
     j = 1
     while True:

@@ -12,7 +12,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 from .constants import (
     c_from_pk_integral,
@@ -102,6 +102,17 @@ def _event_check(name, event, rng, p, trials=100_000) -> CheckResult:
     return _freq_check(name, sum(1 for _ in range(trials) if event(rng)), trials, p)
 
 
+def _runtime(name, limit, t0) -> CheckResult:
+    """Wall time since ``t0`` against ``limit`` seconds."""
+    elapsed = time.perf_counter() - t0
+    return CheckResult(name, elapsed < limit, f"< {limit:g} s", f"{elapsed:.3f} s")
+
+
+def _agree(name, value, other) -> CheckResult:
+    diff = abs(value - other)
+    return CheckResult(name, diff <= 1e-9, "agree to 1e-9", f"diff {diff:.3g}")
+
+
 # ---------------------------------------------------------------------------
 # Criterion 1-3: the analytic layer
 # ---------------------------------------------------------------------------
@@ -110,7 +121,7 @@ def _event_check(name, event, rng, p, trials=100_000) -> CheckResult:
 def criterion_closed_forms() -> list[CheckResult]:
     t0 = time.perf_counter()
     literal = (3 * math.exp(4.0) - 48 * math.exp(2.0) + 233.0) / 384.0
-    checks = [
+    return [
         _close("closed-form: binary search tree constant", c_mary(2).value, literal, 1e-12),
         _close("closed-form: random recursive tree constant", c_rrt().value, 0.263709059, 1e-8),
         _close(
@@ -119,12 +130,8 @@ def criterion_closed_forms() -> list[CheckResult]:
             0.14076941,
             1e-7,
         ),
+        _runtime("closed-form runtime < 1 s", 1.0, t0),
     ]
-    elapsed = time.perf_counter() - t0
-    checks.append(
-        CheckResult("closed-form runtime < 1 s", elapsed < 1.0, "< 1 s", f"{elapsed:.3f} s")
-    )
-    return checks
 
 
 def criterion_constants_grid() -> list[CheckResult]:
@@ -133,29 +140,17 @@ def criterion_constants_grid() -> list[CheckResult]:
     for rho, chi, target, label in FIGURE_GRID:
         value = c_general(rho, chi).value
         checks.append(_close(f"constant grid chi/rho = {label}", value, target, 5e-5))
-    elapsed = time.perf_counter() - t0
-    checks.append(
-        CheckResult("constant grid runtime < 10 s", elapsed < 10.0, "< 10 s", f"{elapsed:.3f} s")
-    )
+    checks.append(_runtime("constant grid runtime < 10 s", 10.0, t0))
     return checks
 
 
 def criterion_internal_consistency() -> list[CheckResult]:
-    checks = []
-    for m in (2, 3, 4, 5):
-        diff = abs(c_general(float(m), -1).value - c_mary(m).value)
-        checks.append(
-            CheckResult(
-                f"quadrature vs gamma-series at m = {m}",
-                diff <= 1e-9,
-                "agree to 1e-9",
-                f"diff {diff:.3g}",
-            )
-        )
-    diff = abs(c_general(1.0, 1).value - c_from_pk_integral(1.0, 1)[0])
-    checks.append(
-        CheckResult("quadrature vs pk-integral at rho = 1", diff <= 1e-9, "agree to 1e-9", f"diff {diff:.3g}")
-    )
+    checks = [
+        _agree(f"quadrature vs gamma-series at m = {m}", c_general(float(m), -1).value, c_mary(m).value)
+        for m in (2, 3, 4, 5)
+    ]
+    rich = c_general(1.0, 1).value
+    checks.append(_agree("quadrature vs pk-integral at rho = 1", rich, c_from_pk_integral(1.0, 1)[0]))
     return checks
 
 
@@ -172,30 +167,21 @@ def _increasing_trees(n: int):
 
 def criterion_slater_oracle(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     t0 = time.perf_counter()
-    mismatches = 0
-    total = 0
-    for n in range(2, 10):
-        for tree in _increasing_trees(n):
-            total += 1
-            if md_report(tree).beta != brute_force_md(tree)[0]:
-                mismatches += 1
-    spec = RngSpec(seed)
-    for i in range(1000):
-        rng = spec.stream(i)
-        n = int(rng.integers(2, 13))
-        tree = sample_uniform_tree(n, rng)
-        total += 1
-        if md_report(tree).beta != brute_force_md(tree)[0]:
-            mismatches += 1
-    elapsed = time.perf_counter() - t0
+    streams = map(RngSpec(seed).stream, range(1000))
+    trees = chain(
+        (tree for n in range(2, 10) for tree in _increasing_trees(n)),
+        (sample_uniform_tree(int(rng.integers(2, 13)), rng) for rng in streams),
+    )
+    agree = [md_report(tree).beta == brute_force_md(tree)[0] for tree in trees]
+    mismatches = agree.count(False)
     return [
         CheckResult(
             "linear formula = brute force on exhaustive + random trees",
             mismatches == 0,
-            f"0 mismatches over {total} trees",
+            f"0 mismatches over {len(agree)} trees",
             f"{mismatches} mismatches",
         ),
-        CheckResult("oracle sweep runtime < 60 s", elapsed < 60.0, "< 60 s", f"{elapsed:.1f} s"),
+        _runtime("oracle sweep runtime < 60 s", 60.0, t0),
     ]
 
 
@@ -279,10 +265,7 @@ def criterion_figure1(seed: int = DEFAULT_SEED, workers: int = 1) -> list[CheckR
                 f"{summary.mean:.5f} (diff {summary.abs_diff:.5f}, stderr {summary.stderr:.5f})",
             )
         )
-    elapsed = time.perf_counter() - t0
-    checks.append(
-        CheckResult("simulation runtime < 5 min", elapsed < 300.0, "< 300 s", f"{elapsed:.1f} s")
-    )
+    checks.append(_runtime("simulation runtime < 5 min", 300.0, t0))
     return checks
 
 
@@ -437,28 +420,27 @@ def criterion_conditional_oracles(seed: int = DEFAULT_SEED) -> list[CheckResult]
 # ---------------------------------------------------------------------------
 
 
+# Suite name -> checks at (seed, workers), in the order ``verify all`` runs
+# them.  Each lambda looks its criteria up by name when it runs.
+SUITES = {
+    "constants": lambda seed, workers: (
+        criterion_closed_forms() + criterion_constants_grid() + criterion_internal_consistency()
+    ),
+    "slater": lambda seed, workers: criterion_slater_oracle(seed),
+    "fringe": lambda seed, workers: criterion_epsilon_audit(seed) + criterion_fringe_laws(seed),
+    "embedding": lambda seed, workers: (
+        criterion_embedding_tv(seed) + criterion_h_tail(seed) + criterion_conditional_oracles(seed)
+    ),
+    "figure1": lambda seed, workers: criterion_figure1(seed, workers=workers),
+}
+
+
 def run_suite(name: str, seed: int = DEFAULT_SEED, workers: int = 1) -> list[CheckResult]:
     RngSpec(seed)  # refuses a bad seed before any suite runs
-    suites = {
-        "constants": lambda: (
-            criterion_closed_forms()
-            + criterion_constants_grid()
-            + criterion_internal_consistency()
-        ),
-        "slater": lambda: criterion_slater_oracle(seed),
-        "fringe": lambda: criterion_epsilon_audit(seed) + criterion_fringe_laws(seed),
-        "embedding": lambda: (
-            criterion_embedding_tv(seed)
-            + criterion_h_tail(seed)
-            + criterion_conditional_oracles(seed)
-        ),
-        "figure1": lambda: criterion_figure1(seed, workers=workers),
-    }
-    if name == "all":
-        return [result for suite in suites.values() for result in suite()]
-    if name not in suites:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(suites)} or 'all'")
-    return suites[name]()
+    if name != "all" and name not in SUITES:
+        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+    names = SUITES if name == "all" else (name,)
+    return [result for suite in names for result in SUITES[suite](seed, workers)]
 
 
 def format_table(results: list[CheckResult]) -> str:

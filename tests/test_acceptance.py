@@ -7,19 +7,33 @@ Each test also compares the name, expected and observed strings of its
 checks, all but the runtime ones, with ``verify_lines.json``: every check
 is deterministic at ``DEFAULT_SEED``, so a changed string is a defect, not
 a stream to re-pin.  ``python tests/test_acceptance.py`` rewrites the file;
-regenerate it only on purpose, and record why in CHANGES.md.
+regenerate it only on purpose, and record why in CHANGES.md.  A runtime
+check's name and expected string are pinned in ``RUNTIME`` below; only the
+form of its observed time is checked.
 """
 
 import json
+import re
 from pathlib import Path
 
 from treedim import verify
 
 PINNED = Path(__file__).with_name("verify_lines.json")
 
+RUNTIME = {
+    "criterion_closed_forms": [["closed-form runtime < 1 s", "< 1 s"]],
+    "criterion_constants_grid": [["constant grid runtime < 10 s", "< 10 s"]],
+    "criterion_slater_oracle": [["oracle sweep runtime < 60 s", "< 60 s"]],
+    "criterion_figure1": [["simulation runtime < 5 min", "< 300 s"]],
+}
+
 
 def pinned_lines(results):
     return [[r.name, r.expected, r.observed] for r in results if "runtime" not in r.name]
+
+
+def runtime_lines(results):
+    return [[r.name, r.expected] for r in results if "runtime" in r.name]
 
 
 def report(criterion):
@@ -33,6 +47,10 @@ def report(criterion):
     failed = [line for ok, line in lines if not ok]
     assert not failed, "\n".join(failed)
     assert pinned_lines(results) == json.loads(PINNED.read_text())[criterion.__name__]
+    assert runtime_lines(results) == RUNTIME.get(criterion.__name__, [])
+    for r in results:
+        if "runtime" in r.name:
+            assert re.fullmatch(r"\d+\.\d{3} s", r.observed), r.observed
 
 
 def test_criterion_1_closed_form_constants():

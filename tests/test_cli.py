@@ -57,6 +57,16 @@ class TestGenerate:
         )
         assert code == 2 and out == "" and err == f"error: {tmp_path} is a directory\n"
 
+    def test_empty_out_refused_before_sampling(self, capsys, monkeypatch):
+        def fail(args):
+            raise AssertionError("sampler ran")
+
+        monkeypatch.setattr("treedim.cli._model", fail)
+        code, out, err = run(
+            capsys, "generate", "--model", "uniform", "-n", "20", "--seed", "1", "--out", ""
+        )
+        assert code == 2 and out == "" and err == "error: --out must name a file, got ''\n"
+
     def test_seed_is_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--model", "uniform", "-n", "5"])
@@ -269,6 +279,17 @@ class TestExperiment:
         )
         assert code == 2 and out == "" and err == f"error: {tmp_path} is a directory\n"
 
+    def test_empty_out_refused_before_any_trial(self, capsys, monkeypatch):
+        def fail(config):
+            raise AssertionError("run_experiment ran")
+
+        monkeypatch.setattr("treedim.cli.run_experiment", fail)
+        code, out, err = run(
+            capsys, "experiment", "--model", "uniform", "-n", "20", "--trials", "3",
+            "--seed", "1", "--out", "",
+        )
+        assert code == 2 and out == "" and err == "error: --out must name a file, got ''\n"
+
     def test_compare_without_constant_refused_before_any_trial(self, capsys, monkeypatch):
         def fail(config):
             raise AssertionError("run_experiment ran")
@@ -384,6 +405,13 @@ class TestVerify:
                 monkeypatch.setattr(verify, name, fail)
         with pytest.raises(KeyError, match="unknown suite 'nope'"):
             verify.run_suite("nope")
+
+    def test_suite_choices_come_from_the_suite_table(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "nope"])
+        assert exc.value.code == 2
+        assert "{constants,slater,fringe,embedding,figure1,all}" in capsys.readouterr().err
+        assert list(verify.SUITES) == ["constants", "slater", "fringe", "embedding", "figure1"]
 
     def test_help_lists_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -19,6 +19,7 @@ def test_demo_runs(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     # The one run-dependent part of any output: the directory that
-    # ``tempfile.mkdtemp`` makes under TMPDIR.
+    # ``tempfile`` makes under TMPDIR, and removes again.
     out = re.sub(re.escape(str(tmp_path)) + r"[/\\][^/\\]+", "<tmpdir>", proc.stdout)
     assert out == (EXPECTED / f"{demo.stem}.txt").read_text(encoding="utf-8")
+    assert list(tmp_path.iterdir()) == []

@@ -89,8 +89,10 @@ class TestConfig:
         export([summary], tmp_path / "np.json")
 
     def test_seed_out_of_range_refused_by_the_config(self):
-        with pytest.raises(InvalidParams, match="master_seed must fit in 64 unsigned bits"):
+        with pytest.raises(InvalidParams, match="master_seed must be >= 0, got -1"):
             small_config(master_seed=-1)
+        with pytest.raises(InvalidParams, match="master_seed must fit in 64 unsigned bits"):
+            small_config(master_seed=1 << 64)
 
 
 class TestReferences:

@@ -589,6 +589,18 @@ class TestSampleH:
             with pytest.raises(InvalidParams, match="finite positive rates"):
                 sample_H(lam, nu, Bounded())
 
+    @pytest.mark.parametrize("lam, nu", [(1e30, 1.0), (1.0, 1e-300)])
+    def test_long_race_refused_before_any_draw(self, lam, nu):
+        # Each would take about sqrt(pi lam / (2 nu)) rounds of the race.
+        rng = RngSpec(26).stream(0)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidParams, match="lam <= 1e12 nu"):
+            sample_H(lam, nu, rng)
+        assert rng.bit_generator.state == state
+
+    def test_ratio_below_the_cap_returns(self):
+        assert sample_H(1e6, 1.0, RngSpec(27).stream(0)) > 0
+
 
 class TestDeterminism:
     def test_every_sampler_is_reproducible(self):
