@@ -24,10 +24,16 @@ def degrees(tree):
     return (tree.outdeg + (tree.parents >= 0)).tolist()
 
 
+def children(tree):
+    """Children of each vertex in ascending order, read off the parent array."""
+    parents = tree.parents.tolist()
+    return [tuple(c for c, p in enumerate(parents) if p == v) for v in range(tree.n)]
+
+
 print("Conditioned critical branching tree (Poisson offspring, n = 12):")
 pmf = OffspringPmf.poisson(1.0)
 tree = sample_conditioned_gw(pmf, 12, spec.stream(0))
-print("  children lists:", list(tree.children))
+print("  children lists:", children(tree))
 
 print("\nUniform labeled tree: 11 balls in 12 boxes as outdegrees, uniform labels (n = 12):")
 tree = sample_uniform_tree(12, spec.stream(1))

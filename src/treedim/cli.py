@@ -35,9 +35,9 @@ from .fringe import (
     is_pk,
     is_pl,
 )
-from .generators import OffspringPmf, PAParams, RngSpec, simulate_cmj
+from .generators import CHI_VALUES, OffspringPmf, PAParams, RngSpec, simulate_cmj
 from .metric_dimension import BRUTE_FORCE_CAP, brute_force_md, md_report
-from .quadrature import QuadratureSpec
+from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .tree import read_tree, serialize, write_tree
 from .verify import DEFAULT_SEED, SUITES, format_table, run_suite
 
@@ -142,10 +142,12 @@ def _cmd_md(args) -> int:
     return 0
 
 
+_PROPERTIES = {"pl": is_pl, "pk": is_pk, "line": is_line}
+
+
 def _cmd_fringe(args) -> int:
     tree = read_tree(args.treefile)
-    predicate = {"pl": is_pl, "pk": is_pk, "line": is_line}[args.property]
-    count = count_subtree_property(tree, predicate)
+    count = count_subtree_property(tree, _PROPERTIES[args.property])
     print(f"n          {tree.n}")
     print(f"{args.property:10} {count}")
     print(f"fraction   {count / tree.n:.6g}")
@@ -168,9 +170,7 @@ _CONSTANT_MODELS = {
 
 
 def _cmd_constant(args) -> int:
-    spec = QuadratureSpec() if args.tol is None else QuadratureSpec(
-        rel_tol=args.tol, abs_tol=args.tol * 1e-2
-    )
+    spec = QuadratureSpec(rel_tol=args.tol, abs_tol=args.tol * 1e-2)
     evaluate, flags = _CONSTANT_MODELS[args.model]
     _require(args, *flags)
     result = evaluate(args, spec)
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="sample a random tree and write the tree file")
     gen.add_argument("--model", required=True, choices=("gw", "uniform", "pa", "cmj"))
     gen.add_argument("--rho", type=float, help="attachment weight offset (pa/cmj)")
-    gen.add_argument("--chi", type=int, choices=(-1, 0, 1), help="attachment weight slope (pa/cmj)")
+    gen.add_argument("--chi", type=int, choices=CHI_VALUES, help="attachment weight slope (pa/cmj)")
     gen.add_argument("--pmf", help="offspring probability file for gw (default Poisson(1))")
     gen.add_argument("-n", type=int, required=True, help="number of vertices")
     gen.add_argument("--seed", type=int, required=True, help="master seed")
@@ -254,23 +254,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     fr = sub.add_parser("fringe", help="subtree-property counts of a tree file")
     fr.add_argument("treefile")
-    fr.add_argument("--property", required=True, choices=("pl", "pk", "line"))
+    fr.add_argument("--property", required=True, choices=tuple(_PROPERTIES))
     fr.add_argument("--histogram", action="store_true", help="print the subtree-size histogram")
     fr.set_defaults(func=_cmd_fringe)
 
     co = sub.add_parser("constant", help="evaluate a limiting constant")
     co.add_argument("--model", required=True, choices=tuple(_CONSTANT_MODELS))
     co.add_argument("--rho", type=float)
-    co.add_argument("--chi", type=int, choices=(-1, 0, 1))
+    co.add_argument("--chi", type=int, choices=CHI_VALUES)
     co.add_argument("--m", type=int, help="slot count for the mary model")
     co.add_argument("--pmf", help="offspring probability file for gw (default Poisson(1))")
-    co.add_argument("--tol", type=float, help="quadrature relative tolerance")
+    co.add_argument(
+        "--tol", type=float, default=DEFAULT_SPEC.rel_tol, help="quadrature relative tolerance"
+    )
     co.set_defaults(func=_cmd_constant)
 
     ex = sub.add_parser("experiment", help="seeded Monte Carlo experiment")
     ex.add_argument("--model", required=True, choices=("gw", "uniform", "pa"))
     ex.add_argument("--rho", type=float)
-    ex.add_argument("--chi", type=int, choices=(-1, 0, 1))
+    ex.add_argument("--chi", type=int, choices=CHI_VALUES)
     ex.add_argument("--pmf")
     ex.add_argument("-n", type=int, required=True)
     ex.add_argument("--trials", type=int, required=True)

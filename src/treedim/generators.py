@@ -137,14 +137,14 @@ class OffspringPmf:
             acc = acc * x + p
         return acc
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(k for k, p in enumerate(self.probs) if p > 0)
+
+CHI_VALUES = (-1, 0, 1)  # the slopes chi of a growth rule rho + chi * children(v)
 
 
 def check_pa(rho: float, chi: int, error: type[Exception] = InvalidParams) -> None:
     """Raise ``error`` unless weight rho + chi * children(v) is a growth rule:
-    chi in {-1, 0, +1}, finite rho > 0 (not a bool), and integer rho when chi = -1."""
-    if not _is_int(chi) or chi not in (-1, 0, 1):
+    chi in ``CHI_VALUES``, finite rho > 0 (not a bool), and integer rho when chi = -1."""
+    if not _is_int(chi) or chi not in CHI_VALUES:
         raise error(f"chi must be -1, 0 or +1, got {chi}")
     if isinstance(rho, bool):
         raise error(f"rho must be a number, not a bool, got {rho}")
@@ -239,13 +239,13 @@ def sample_conditioned_gw(
     critical offspring.  Gives up after ``REJECTION_BUDGET`` attempts.
     """
     check_size(n)
-    g = math.gcd(*pmf.support())
+    probs = np.asarray(pmf.probs)
+    g = math.gcd(*probs.nonzero()[0].tolist())
     if (n - 1) % g != 0:
         raise UnreachableSize(
             f"no length-{n} offspring sequence sums to {n - 1}: support lattice "
             f"has span {g}"
         )
-    probs = np.asarray(pmf.probs)
     values = np.arange(probs.size)
     # Acceptance is about (2 pi sigma^2 n)^-1/2, so a batch of sqrt(n)
     # attempts often holds a hit.

@@ -103,42 +103,32 @@ def md_report(tree: RootedTree) -> MDReport:
     )
 
 
-def _distances(tree: RootedTree, sources) -> list[int]:
-    """Graph distances from each source to every vertex, one row of ``n``
-    after another in a flat list, by breadth-first search over the
-    neighbour lists of the unrooted tree."""
-    n = tree.n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for v, p in enumerate(tree.parents.tolist()):
-        if p >= 0:
-            adj[v].append(p)
-            adj[p].append(v)
-    rows: list[int] = []
-    for source in sources:
-        dist = [-1] * n
-        dist[source] = 0
-        queue = [source]
-        for v in queue:
-            dv = dist[v] + 1
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dv
-                    queue.append(w)
-        rows += dist
-    return rows
-
-
 def is_resolving(tree: RootedTree, candidate) -> bool:
     """True iff every vertex pair differs in distance to some candidate
-    vertex, i.e. the n columns of the candidates' distance rows are
-    pairwise distinct.  An empty set resolves only a single vertex."""
+    vertex.  One breadth-first search over the unrooted tree per candidate
+    appends to each vertex's distance vector (a vector's length marks the
+    vertices this search has reached), and the set resolves when the n
+    vectors are distinct.  An empty set resolves only a single vertex."""
     n = tree.n
     verts = set()
     for v in candidate:
         check_vertex(tree, v)  # before ``int`` could make a vertex of it
         verts.add(int(v))
-    flat = _distances(tree, sorted(verts))
-    return len({tuple(flat[u::n]) for u in range(n)}) == n
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for v, p in enumerate(tree.parents.tolist()):
+        if p >= 0:
+            adj[v].append(p)
+            adj[p].append(v)
+    vectors: list[list[int]] = [[] for _ in range(n)]
+    for searched, source in enumerate(verts, 1):
+        vectors[source].append(0)
+        queue = [source]
+        for v in queue:
+            for w in adj[v]:
+                if len(vectors[w]) < searched:
+                    vectors[w].append(vectors[v][-1] + 1)
+                    queue.append(w)
+    return len(set(map(tuple, vectors))) == n
 
 
 @lru_cache(maxsize=None)

@@ -39,6 +39,7 @@ from .generators import (
     OffspringPmf,
     PAParams,
     RngSpec,
+    check_count,
     sample_H,
     sample_pa_tree,
     sample_uniform_tree,
@@ -97,8 +98,9 @@ def _freq_check(name, hits, trials, p) -> CheckResult:
     )
 
 
-def _event_check(name, event, rng, p, trials=100_000) -> CheckResult:
-    """Frequency of ``event(rng)`` over ``trials`` draws against p."""
+def _event_check(name, event, rng, p) -> CheckResult:
+    """Frequency of ``event(rng)`` over 100,000 draws against p."""
+    trials = 100_000
     return _freq_check(name, sum(1 for _ in range(trials) if event(rng)), trials, p)
 
 
@@ -191,24 +193,20 @@ def criterion_slater_oracle(seed: int = DEFAULT_SEED) -> list[CheckResult]:
 
 
 def criterion_epsilon_audit(seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    def cmj(n, rng):
-        return simulate_cmj(PAParams(1.0, 1), n, rng).tree
-
-    models = [
-        ("gw-poisson", GWModel(OffspringPmf.poisson(1.0)).sample),
-        ("uniform", UniformModel().sample),
-        ("pa(2,-1)", PAModel(PAParams(2.0, -1)).sample),
-        ("pa(1,0)", PAModel(PAParams(1.0, 0)).sample),
-        ("pa(1,1)", PAModel(PAParams(1.0, 1)).sample),
-        ("cmj(1,1)", cmj),
+    samplers = [
+        GWModel(OffspringPmf.poisson(1.0)).sample,
+        UniformModel().sample,
+        PAModel(PAParams(2.0, -1)).sample,
+        PAModel(PAParams(1.0, 0)).sample,
+        PAModel(PAParams(1.0, 1)).sample,
+        lambda n, rng: simulate_cmj(PAParams(1.0, 1), n, rng).tree,
     ]
     spec = RngSpec(seed)
     sizes = (10, 100, 1000)
-    total = 10_000
-    cells = len(models) * len(sizes)
-    quota = -(-total // cells)  # ceil
+    cells = len(samplers) * len(sizes)
+    quota = -(-10_000 // cells)  # 10,000 trees over the cells, rounded up
     epsilons: Counter[int] = Counter()
-    for mi, (label, gen) in enumerate(models):
+    for mi, gen in enumerate(samplers):
         for si, n in enumerate(sizes):
             rng = spec.stream(1_000 + mi * 10 + si)
             done = 0
@@ -436,7 +434,8 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED, workers: int = 1) -> list[CheckResult]:
-    RngSpec(seed)  # refuses a bad seed before any suite runs
+    RngSpec(seed)  # with check_count, refuses bad input before any suite runs
+    check_count(workers, "workers", 1)
     if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     names = SUITES if name == "all" else (name,)

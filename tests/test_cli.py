@@ -1,10 +1,15 @@
 import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from treedim import build_from_parents, verify, write_tree
+from treedim import __version__, build_from_parents, verify, write_tree
 from treedim.cli import main
+from treedim.errors import InvalidParams
 from treedim.experiments import PAModel, default_reference
 
 
@@ -185,8 +190,21 @@ class TestConstant:
                 ("general", "--rho", "2", "--chi", "-1"),
                 "value     0.109686868101\nabs_error 3.57e-11\nmethod    quadrature\n",
             ),
+            # --tol defaults to the quadrature's default relative tolerance.
+            (
+                ("rrt", "--tol", "1e-10"),
+                "value     0.263709059139\nabs_error 1.55e-11\nmethod    quadrature\n",
+            ),
+            (
+                ("rich", "--rho", "1", "--tol", "1e-10"),
+                "value     0.501196708672\nabs_error 5.49e-11\nmethod    quadrature\n",
+            ),
+            (
+                ("general", "--rho", "2", "--chi", "-1", "--tol", "1e-10"),
+                "value     0.109686868101\nabs_error 3.57e-11\nmethod    quadrature\n",
+            ),
         ],
-        ids=["gw", "mary", "rrt", "rich", "general"],
+        ids=["gw", "mary", "rrt", "rich", "general", "rrt-tol", "rich-tol", "general-tol"],
     )
     def test_stdout_pinned(self, capsys, argv, stdout):
         assert run(capsys, "constant", "--model", *argv) == (0, stdout, "")
@@ -382,6 +400,15 @@ class TestExperiment:
 
 
 class TestVerify:
+    @pytest.fixture
+    def no_suite_runs(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        for name in dir(verify):
+            if name.startswith("criterion_"):
+                monkeypatch.setattr(verify, name, fail)
+
     def test_constants_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "constants")
         assert code == 0
@@ -396,15 +423,14 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "master_seed" in err
 
-    def test_unknown_suite_refused_before_any_suite(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("a suite ran")
-
-        for name in dir(verify):
-            if name.startswith("criterion_"):
-                monkeypatch.setattr(verify, name, fail)
+    def test_unknown_suite_refused_before_any_suite(self, no_suite_runs):
         with pytest.raises(KeyError, match="unknown suite 'nope'"):
             verify.run_suite("nope")
+
+    @pytest.mark.parametrize("suite, workers", [("all", 0), ("constants", True)])
+    def test_bad_worker_count_refused_before_any_suite(self, no_suite_runs, suite, workers):
+        with pytest.raises(InvalidParams, match="workers must be"):
+            verify.run_suite(suite, workers=workers)
 
     def test_suite_choices_come_from_the_suite_table(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -600,3 +626,16 @@ class TestBadInput:
             "-n", "50", "--trials", "2", "--seed", "1",
         )
         assert code == 0 and "constant=0.262113" in out
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+        def treedim(*argv):
+            command = [sys.executable, "-m", "treedim.cli", *argv]
+            return subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+
+        version = treedim("--version")
+        assert (version.returncode, version.stdout) == (0, f"treedim {__version__}\n")
+        assert treedim("verify", "nope").returncode == 2

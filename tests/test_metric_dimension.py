@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations, product
 
 import numpy as np
@@ -6,12 +7,14 @@ import tuple_core
 from hypothesis import given, settings
 
 from treedim import (
+    PAParams,
     RngSpec,
     brute_force_md,
     build_from_parents,
     is_resolving,
     md_report,
     metric_dimension,
+    sample_pa_tree,
     sample_uniform_tree,
 )
 from treedim.errors import TooLarge, VertexOutOfRange
@@ -103,6 +106,31 @@ class TestResolving:
         for candidate in ({7}, {1.5}, {"2"}, {True, 2}):
             with pytest.raises(VertexOutOfRange):
                 is_resolving(chain(3), candidate)
+
+    def test_matches_distance_vectors_above_the_oracle_cap(self):
+        # Random sets of 0 to 5 vertices and random nine-tenths of the
+        # leaves against whether the reference search's distance vectors
+        # are distinct; all leaves resolve every tree with n >= 2.
+        spec = RngSpec(37)
+        outcomes = Counter()
+        for i in range(40):
+            rng = spec.stream(i)
+            n = int(rng.integers(metric_dimension.BRUTE_FORCE_CAP + 1, 301))
+            if i % 2:
+                t = sample_uniform_tree(n, rng)
+            else:
+                t = sample_pa_tree(PAParams(1.0, 1), n, rng)
+            adj = tuple_core.adjacency([None if p < 0 else p for p in t.parents.tolist()])
+            leaves = [v for v in range(n) if len(adj[v]) == 1]
+            assert is_resolving(t, leaves)
+            candidates = [rng.choice(n, int(rng.integers(6)), replace=False) for _ in range(10)]
+            candidates += [np.compress(rng.random(len(leaves)) < 0.9, leaves) for _ in range(5)]
+            for candidate in candidates:
+                rows = [tuple_core.bfs_distances(adj, int(w)) for w in candidate]
+                expected = len({tuple(row[v] for row in rows) for v in range(n)}) == n
+                assert is_resolving(t, candidate) == expected, (i, candidate)
+                outcomes[expected] += 1
+        assert outcomes[True] and outcomes[False], outcomes
 
 
 class TestBruteForce:
@@ -198,8 +226,9 @@ class TestDistanceMatrix:
     def check(t):
         matrix = metric_dimension._distance_matrix(t)
         assert matrix.shape == (t.n, t.n) and matrix.dtype == np.uint8
+        adj = tuple_core.adjacency([None if p < 0 else p for p in t.parents.tolist()])
         for v in range(t.n):
-            assert matrix[v].tolist() == metric_dimension._distances(t, [v]), v
+            assert matrix[v].tolist() == tuple_core.bfs_distances(adj, v), v
         return matrix
 
     def test_every_small_increasing_tree(self):
