@@ -175,23 +175,6 @@ def c_gw(pmf: OffspringPmf) -> ConstantResult:
 # ---------------------------------------------------------------------------
 
 
-def _mary_coefficient(m: int, i: int, j: int) -> float:
-    """Coefficient of gamma((i+j)/(m-1)+1, i*m/(m-1)) in the m-slot sum.
-
-    The pair (i, j) = (1, m-1) absorbs an extra exponential integral and
-    carries its own coefficient.
-    """
-    s = (i + j) / (m - 1) + 1.0
-    if (i, j) == (1, m - 1):
-        return (1.0 - m / m**m) * math.exp(m / (m - 1)) * ((m - 1) / m) ** s
-    return (
-        ((-1.0) ** i / m ** (i + j))
-        * trinomial(m, i, j)
-        * math.exp(i * m / (m - 1))
-        * ((m - 1) / (i * m)) ** s
-    )
-
-
 def c_mary(m: int) -> ConstantResult:
     """Limit constant for m-slot increasing trees, integer m >= 2 (m = 2:
     BSTs; 2.0 is refused); :class:`Unsupported` from m = 144 on (overflow)."""
@@ -207,7 +190,12 @@ def c_mary(m: int) -> ConstantResult:
             for j in range(0, m - i + 1):
                 s = (i + j) / (m - 1) + 1.0
                 t = i * m / (m - 1)
-                term = _mary_coefficient(m, i, j) * lower_incomplete_gamma(s, t)
+                if (i, j) == (1, m - 1):  # absorbs an extra exponential integral
+                    coefficient = (1.0 - m / m**m) * math.exp(t) * ((m - 1) / m) ** s
+                else:
+                    coefficient = (-1.0) ** i / m ** (i + j) * trinomial(m, i, j) * math.exp(t)
+                    coefficient *= ((m - 1) / (i * m)) ** s
+                term = coefficient * lower_incomplete_gamma(s, t)
                 second += term
                 magnitude += abs(term)
     except OverflowError:
@@ -359,28 +347,19 @@ def pk_given_x(rho: float, chi: int, x: float) -> float:
     return 1.0 - g - q * p1
 
 
-def _pk_at_infinity(rho: float, chi: int) -> float:
-    if chi == 1:
-        return 1.0
-    if chi == -1:
-        return 0.0
-    return 1.0 - math.exp(1.0 - math.e)  # chi = 0, rho = 1
-
-
-def c_from_pk_integral(
-    rho: float, chi: int, spec: QuadratureSpec = DEFAULT_SPEC
-) -> tuple[float, float]:
+def c_from_pk_integral(rho: float, chi: int) -> ConstantResult:
     """Re-derive the limit constant without merging any integrals.
 
     Integrates :func:`pk_given_x` against the exponential stopping-time
     density (rate rho + chi) and subtracts from the single-vertex
-    probability.  Returns (value, error estimate).  This retraces the
-    construction that the closed forms compress, so it cross-checks the
-    conditional pieces against :func:`c_general`.
+    probability.  This retraces the construction that the closed forms
+    compress, so it cross-checks the conditional pieces against
+    :func:`c_general`.
     """
     _check_evaluable(rho, chi)
     a = rho + chi
-    limit = _pk_at_infinity(rho, chi)
+    # pk_given_x as x -> inf; chi = 0 means rho = 1 here.
+    limit = {1: 1.0, -1: 0.0}.get(chi, 1.0 - math.exp(1.0 - math.e))
 
     def integrand(u: float) -> float:
         if u >= 1.0:
@@ -390,5 +369,7 @@ def c_from_pk_integral(
         x = -math.log1p(-u) / a
         return pk_given_x(rho, chi, x)
 
-    pk, err = adaptive_simpson(integrand, 0.0, 1.0, spec)
-    return p_leaf(rho, chi) - pk, max(err, 1e-12)
+    pk, err = adaptive_simpson(integrand, 0.0, 1.0)
+    return ConstantResult(
+        value=p_leaf(rho, chi) - pk, abs_error_estimate=max(err, 1e-12), method="quadrature"
+    )

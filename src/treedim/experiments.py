@@ -8,6 +8,7 @@ trial order, so results are bit-identical for any worker count.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -15,6 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from functools import cached_property, partial
+
+import numpy as np
 
 from .constants import c_general, c_gw, gw_pk_prob, p_leaf
 from .errors import DomainError, InvalidParams, Unsupported
@@ -281,6 +284,13 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _json_scalar(value):
+    """``json.dumps`` default: numpy scalars become Python numbers."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def export(summaries: list[ExperimentSummary], path, overwrite: bool = False) -> None:
     """Write experiment summaries to ``path``: JSON when the path ends in
     ``.json``, CSV otherwise.
@@ -288,15 +298,17 @@ def export(summaries: list[ExperimentSummary], path, overwrite: bool = False) ->
     CSV columns are :data:`CSV_COLUMNS`, one row per experiment; JSON
     mirrors the same fields.  Existing files are only replaced when
     ``overwrite`` is set; otherwise the open itself refuses them with
-    :class:`FileExistsError`.
+    :class:`FileExistsError`.  The whole text is built before the file is
+    opened, so summaries that cannot be encoded leave the path untouched.
     """
     rows = [{column: getattr(s, column) for column in CSV_COLUMNS} for s in summaries]
+    if str(path).endswith(".json"):
+        text = json.dumps(rows, indent=1, default=_json_scalar) + "\n"
+    else:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows([_format_cell(row[c]) for c in CSV_COLUMNS] for row in rows)
+        text = buffer.getvalue()
     with open(path, "w" if overwrite else "x", encoding="utf-8", newline="") as fh:
-        if str(path).endswith(".json"):
-            json.dump(rows, fh, indent=1)
-            fh.write("\n")
-        else:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for row in rows:
-                writer.writerow([_format_cell(row[c]) for c in CSV_COLUMNS])
+        fh.write(text)

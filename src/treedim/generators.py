@@ -99,10 +99,9 @@ class OffspringPmf:
 
     @classmethod
     def poisson(cls, mean: float = 1.0) -> "OffspringPmf":
-        """Poisson(mean) truncated at k = 30 and renormalized.
-
-        At mean 1 the discarded tail mass is below 1e-32.
-        """
+        """Poisson(mean) truncated at k = 30 and renormalized.  Only mean 1
+        passes the pmf's mean-1 rule (within 1e-9); there the discarded tail
+        mass is below 1e-32."""
         if mean <= 0:
             raise InvalidPmf("poisson needs mean > 0")
         weights = [math.exp(-mean + k * math.log(mean) - math.lgamma(k + 1)) for k in range(31)]
@@ -113,7 +112,8 @@ class OffspringPmf:
 
     @classmethod
     def geometric(cls, ratio: float = 0.5) -> "OffspringPmf":
-        """p_k proportional to ratio^k, truncated at k = 60 and renormalized."""
+        """p_k proportional to ratio^k, truncated at k = 60 and renormalized.
+        Only ratio 1/2 passes the pmf's mean-1 rule (within 1e-9)."""
         if not 0 < ratio < 1:
             raise InvalidPmf("geometric needs 0 < ratio < 1")
         total = math.fsum(ratio**k for k in range(61))

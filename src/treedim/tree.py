@@ -347,8 +347,9 @@ def parse(text: str) -> RootedTree:
 
 
 def write_tree(tree: RootedTree, path) -> None:
+    text = serialize(tree)  # before the open, which truncates
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize(tree))
+        fh.write(text)
 
 
 def read_tree(path) -> RootedTree:

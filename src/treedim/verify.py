@@ -152,7 +152,7 @@ def criterion_internal_consistency() -> list[CheckResult]:
         for m in (2, 3, 4, 5)
     ]
     rich = c_general(1.0, 1).value
-    checks.append(_agree("quadrature vs pk-integral at rho = 1", rich, c_from_pk_integral(1.0, 1)[0]))
+    checks.append(_agree("quadrature vs pk-integral at rho = 1", rich, c_from_pk_integral(1.0, 1).value))
     return checks
 
 
@@ -355,7 +355,7 @@ def criterion_fringe_laws(seed: int = DEFAULT_SEED) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _sample_child_birth(rho: float, chi: int, x: float, rng) -> float:
+def _sample_child_birth(chi: int, x: float, rng) -> float:
     """Birth time of a root child given the horizon x: density prop. to
     e^(chi y) on [0, x]."""
     u = rng.random()
@@ -394,7 +394,7 @@ def criterion_conditional_oracles(seed: int = DEFAULT_SEED) -> list[CheckResult]
             checks.append(
                 _event_check(
                     f"line probability q({rho:g}, {chi}; x = {x:g})",
-                    lambda rng: _sample_child_birth(rho, chi, x, rng)
+                    lambda rng: _sample_child_birth(chi, x, rng)
                     + sample_H(rho, rho + chi, rng)
                     > x,
                     spec.stream(stream),

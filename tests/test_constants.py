@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import pytest
@@ -5,6 +6,7 @@ import scipy.integrate
 import scipy.special
 
 from treedim import (
+    ConstantResult,
     OffspringPmf,
     QuadratureSpec,
     adaptive_simpson,
@@ -22,7 +24,7 @@ from treedim import (
     trinomial,
 )
 from treedim import constants
-from treedim.constants import _general_integrals, _mary_coefficient
+from treedim.constants import _general_integrals
 from treedim.errors import DomainError, InvalidPmf, Unsupported
 
 E2 = math.exp(2.0)
@@ -201,11 +203,6 @@ class TestGWConstant:
 
 
 class TestMaryConstant:
-    def test_m2_coefficients_pin_the_signs(self):
-        assert _mary_coefficient(2, 1, 1) == pytest.approx(E2 / 2**4, rel=1e-14)
-        assert _mary_coefficient(2, 1, 0) == pytest.approx(-E2 / 2**2, rel=1e-14)
-        assert _mary_coefficient(2, 2, 0) == pytest.approx(E4 / 2**8, rel=1e-14)
-
     def test_m2_closed_form(self):
         result = c_mary(2)
         assert abs(result.value - BST_LITERAL) <= 1e-12
@@ -279,7 +276,7 @@ class TestGeneralConstant:
     @pytest.mark.parametrize("rho", [0.1, 0.5, 1.0, 2.0])
     def test_rich_matches_pk_integral(self, rho):
         # independent route: the unmerged conditional pieces
-        value, _ = c_from_pk_integral(rho, 1)
+        value = c_from_pk_integral(rho, 1).value
         assert abs(c_general(rho, 1).value - value) <= 1e-12
 
     def test_chi_zero_requires_unit_rho(self):
@@ -295,7 +292,7 @@ class TestGeneralConstant:
 
     def test_large_rho_keeps_quadrature_when_mary_overflows(self):
         # c_mary(200) is Unsupported; the quadrature still holds there.
-        value, _ = c_from_pk_integral(200.0, -1)
+        value = c_from_pk_integral(200.0, -1).value
         assert abs(c_general(200.0, -1).value - value) <= 1e-9
 
     @pytest.mark.parametrize("rho", [1e16, 1e300])
@@ -468,12 +465,18 @@ class TestConditionalPieces:
         assert p_leaf(1.0, 1) == pytest.approx(2 / 3, abs=1e-15)
 
     def test_unmerged_integral_reproduces_constants(self):
-        value, _ = c_from_pk_integral(1.0, 0)
+        value = c_from_pk_integral(1.0, 0).value
         assert value == pytest.approx(c_rrt().value, abs=1e-8)
-        value, _ = c_from_pk_integral(1.0, 1)
+        value = c_from_pk_integral(1.0, 1).value
         assert value == pytest.approx(c_general(1.0, 1).value, abs=1e-8)
-        value, _ = c_from_pk_integral(2.0, -1)
+        value = c_from_pk_integral(2.0, -1).value
         assert value == pytest.approx(c_mary(2).value, abs=1e-8)
+
+    def test_pk_integral_returns_a_constant_result(self):
+        result = c_from_pk_integral(1.0, 1)
+        assert isinstance(result, ConstantResult)
+        assert result.method == "quadrature"
+        assert "spec" not in inspect.signature(c_from_pk_integral).parameters
 
 
 class TestPinnedBits:
@@ -538,5 +541,5 @@ class TestPinnedBits:
 
     @pytest.mark.parametrize("key", list(PK_INTEGRAL), ids=lambda k: "{}/{}".format(*k))
     def test_pk_integral(self, key):
-        value, err = c_from_pk_integral(*key)
-        assert (value.hex(), err.hex()) == self.PK_INTEGRAL[key]
+        result = c_from_pk_integral(*key)
+        assert (result.value.hex(), result.abs_error_estimate.hex()) == self.PK_INTEGRAL[key]

@@ -81,12 +81,20 @@ class TestConfig:
         with pytest.raises(InvalidParams, match=rf"^{field} must be an integer, got {value!r}$"):
             small_config(**{field: value})
 
-    @pytest.mark.parametrize("field", ["trials", "workers", "master_seed"])
+    @pytest.mark.parametrize("field", ["trials", "workers", "master_seed", "rho", "chi"])
     def test_numpy_integer_count_or_seed_accepted(self, field, tmp_path):
-        base = dict(n=5, trials=3)
-        summary = run_experiment(small_config(**{**base, field: np.int64(3)}))
-        assert summary == run_experiment(small_config(**{**base, field: 3}))
+        def config(integer):
+            if field == "rho":
+                return small_config(n=5, trials=3, model=PAModel(PAParams(integer(2), -1)))
+            if field == "chi":
+                return small_config(n=5, trials=3, model=PAModel(PAParams(2.0, integer(-1))))
+            return small_config(**{"n": 5, "trials": 3, field: integer(3)})
+
+        summary, python = run_experiment(config(np.int64)), run_experiment(config(int))
+        assert summary == python
         export([summary], tmp_path / "np.json")
+        export([python], tmp_path / "py.json")
+        assert (tmp_path / "np.json").read_bytes() == (tmp_path / "py.json").read_bytes()
 
     def test_seed_out_of_range_refused_by_the_config(self):
         with pytest.raises(InvalidParams, match="master_seed must be >= 0, got -1"):
@@ -299,6 +307,20 @@ class TestExport:
             export([dataclasses.replace(s, mean=0.5)], path)
         assert path.read_bytes() == before
         export([s], path, overwrite=True)
+
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_unencodable_summary_leaves_the_path_untouched(self, overwrite, tmp_path):
+        s = run_experiment(small_config(trials=5))
+        path = tmp_path / "x.json"
+        if overwrite:
+            export([s], path)
+            before = path.read_bytes()
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            export([dataclasses.replace(s, rho=object())], path, overwrite=overwrite)
+        if overwrite:
+            assert path.read_bytes() == before
+        else:
+            assert not path.exists()
 
     def test_reexport_identical_bytes(self, tmp_path):
         a = tmp_path / "a.csv"

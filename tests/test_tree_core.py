@@ -476,6 +476,20 @@ class TestSerialization:
         write_tree(t, path)
         assert read_tree(path) == t
 
+    def test_write_serializes_before_opening(self, tmp_path, monkeypatch):
+        from treedim import tree, write_tree
+
+        path = tmp_path / "t.tree"
+        path.write_text("2\nR\n0\n")
+
+        def refuse(_):
+            raise RuntimeError("serialize failed")
+
+        monkeypatch.setattr(tree, "serialize", refuse)
+        with pytest.raises(RuntimeError, match="serialize failed"):
+            write_tree(build_from_parents([None, 0, 0]), path)
+        assert path.read_text() == "2\nR\n0\n"
+
 
 def parse_outcome(parser, text):
     """The parents ``parser`` reads from ``text``, or its error."""
