@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--m", type=int, help="slot count for the mary model")
     co.add_argument("--pmf", help="offspring probability file for gw (default Poisson(1))")
     co.add_argument(
-        "--tol", type=float, default=DEFAULT_SPEC.rel_tol, help="quadrature relative tolerance"
+        "--tol", type=float, default=DEFAULT_SPEC.rel_tol, help="quadrature relative tolerance >= 2^-52"
     )
     co.set_defaults(func=_cmd_constant)
 

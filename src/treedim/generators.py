@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, InvalidPmf, UnreachableSize
-from .tree import RootedTree, _follow, _is_int, build_from_parents
+from .tree import RootedTree, _adopt, _follow, _is_int, build_from_parents
 
 _MASK64 = (1 << 64) - 1
 MAX_TREE_SIZE = 2**53  # float64 picks and subtree-size sums are exact up to here
@@ -197,9 +197,10 @@ def _stable_order(keys: np.ndarray) -> np.ndarray:
 
 
 def _lukasiewicz_parents(degs: np.ndarray) -> np.ndarray:
-    """Parent array of the ordered tree whose depth-first outdegrees are
-    a cyclic shift of ``degs`` (n values summing to n - 1), vertices
-    numbered depth-first from the root 0.
+    """Parent array (-1 at the root) of the ordered tree whose depth-first
+    outdegrees are a cyclic shift of ``degs`` (n int64 values summing to
+    n - 1), vertices numbered depth-first from the root 0.  ``degs`` is
+    used as scratch space and left overwritten.
 
     Rotates to the unique shift whose walk x_v = sum_{u<v} (d_u - 1) stays
     nonnegative (the cycle lemma), then reads the tree off the walk: vertex
@@ -209,17 +210,25 @@ def _lukasiewicz_parents(degs: np.ndarray) -> np.ndarray:
     vertex behind the k-th push in that order.
     """
     n = degs.size
-    pivot = int(np.argmin(np.cumsum(degs - 1)))  # first minimum
-    degs = np.concatenate([degs[pivot + 1 :], degs[: pivot + 1]])
-    owner = np.repeat(np.arange(n), degs)  # who pushes each slot, in time order
-    before = np.cumsum(degs) - degs  # slots pushed before each vertex
-    # x_u + j for the j-th slot of u is (slot index) - u; x_v is before[v] - v.
-    pushes = _stable_order(np.arange(n - 1) - owner)
-    pops = _stable_order(before[1:] - np.arange(1, n))
-    parents = np.empty(n, dtype=np.int64)
-    parents[0] = -1
-    parents[pops + 1] = owner[pushes]
-    return parents
+    # One new buffer holds the walk, then the rotated outdegrees, then the
+    # parents; the buffer of degs holds sort keys and the pushers.
+    buf = np.subtract(degs, 1)
+    pivot = int(np.cumsum(buf, out=buf).argmin())  # first minimum
+    buf[: n - pivot - 1] = degs[pivot + 1 :]
+    buf[n - pivot - 1 :] = degs[: pivot + 1]
+    owner = np.repeat(np.arange(n), buf)  # who pushes each slot, in time order
+    # x_u + j for the j-th slot of u is (slot index) - u, and x_v for v >= 1
+    # is (slots pushed before v) - v.
+    pushes = _stable_order(np.subtract(np.arange(n - 1), owner, out=degs[:-1]))
+    # Unlike mode="raise", mode="clip" writes to ``out`` without a buffer.
+    pushers = np.take(owner, pushes, out=degs[:-1], mode="clip")
+    del owner, pushes
+    before = np.cumsum(buf[:-1], out=buf[:-1])
+    before -= np.arange(1, n)
+    pops = _stable_order(before)
+    buf[0] = -1
+    buf[1:][pops] = pushers
+    return buf
 
 
 def sample_conditioned_gw(
@@ -259,7 +268,7 @@ def sample_conditioned_gw(
         if hits.size:
             degs = np.repeat(values, counts[hits[0]])
             rng.shuffle(degs)
-            return build_from_parents(_lukasiewicz_parents(degs))
+            return _adopt(_lukasiewicz_parents(degs))
     raise UnreachableSize(
         f"no size-{n} tree found within {REJECTION_BUDGET} attempts"
     )
@@ -281,9 +290,7 @@ def sample_uniform_shape(n: int, rng: np.random.Generator) -> RootedTree:
     O(n) array passes.
     """
     check_size(n)
-    return build_from_parents(
-        _lukasiewicz_parents(np.bincount(rng.integers(0, n, n - 1), minlength=n))
-    )
+    return _adopt(_lukasiewicz_parents(np.bincount(rng.integers(0, n, n - 1), minlength=n)))
 
 
 def sample_uniform_tree(n: int, rng: np.random.Generator) -> RootedTree:
@@ -309,46 +316,67 @@ def sample_uniform_tree(n: int, rng: np.random.Generator) -> RootedTree:
 
 
 def _copy_attach(rho: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Parents of 1..n-1 under weight rho + children(u), whose total is
-    rho v + v - 1 when v vertices are present: v picks a uniform earlier
-    vertex with probability rho v / (rho v + v - 1), else the parent of a
-    uniform earlier non-root vertex, which is u with probability
+    """Parent array (-1 at the root) under weight rho + children(u), whose
+    total is rho v + v - 1 when v vertices are present: v picks a uniform
+    earlier vertex with probability rho v / (rho v + v - 1), else the parent
+    of a uniform earlier non-root vertex, which is u with probability
     children(u) / (v - 1) (Batagelj & Brandes, Phys. Rev. E 71, 036113, 2005).
     So v's parent is the pick at the end of its copy chain (``_follow``).
     Where rho v overflows to inf, v copies with probability below 2^-53,
-    which no draw of u[0] resolves, so v picks directly.
+    which no first uniform resolves, so v picks directly.
     """
-    v = np.arange(1, n)
-    u = rng.random((2, n - 1))
+    v = np.arange(1, n, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        w = float(rho) * v
-        direct = (u[0] * (w + v - 1) < w) | (w == math.inf)
-    # src[v] is the parent v picks directly, else the vertex v copies.
-    src = np.zeros(n, dtype=np.int64)
-    src[1:] = np.where(direct, u[1] * v, 1 + u[1] * (v - 1)).astype(np.int64)
-    copy = np.concatenate(([False], ~direct))
-    return src.take(_follow(src, copy)[1:])
+        w = v * float(rho)
+        u = w + v
+        u -= 1
+        u *= rng.random(n - 1)
+        direct = (u < w) | (w == math.inf)
+    del u, w
+    copy = np.zeros(n, dtype=bool)
+    copies = np.logical_not(direct, out=copy[1:])
+    # src[v] is the parent v picks directly, floor(u v), else the vertex v
+    # copies, 1 + floor(u (v - 1)), for the next uniform u.
+    np.subtract(v, 1, out=v, where=copies)
+    v *= rng.random(n - 1)
+    np.add(v, 1, out=v, where=copies)
+    src = np.concatenate(([-1], v), dtype=np.int64, casting="unsafe")
+    del v
+    return src.take(_follow(src, copy))
 
 
 def _slot_attach(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Parents of 1..n-1 under weight m - children(u): each vertex owns m
-    slots, and v fills a uniform one of the (m - 1) v + 1 free slots, which
-    it overwrites with one of its own m slots before appending the rest.
+    """Parent array (-1 at the root) under weight m - children(u): each
+    vertex owns m slots, and v fills a uniform one of the (m - 1) v + 1 free
+    slots, which it overwrites with one of its own m slots before appending
+    the rest.
 
     Slots 0..m-1 belong to the root and slots m + (m - 1)(v - 1) onwards to
     v, so a pick's parent is the previous pick of the same slot, or else
     the slot's creator; one stable sort by slot lines the picks up.
     """
-    child = np.arange(1, n)
-    picks = (rng.random(n - 1) * ((m - 1) * child + 1)).astype(np.int64)
+    # Allocated before the temporaries, so that the heap can shrink past
+    # them once they are freed.
+    parents = np.empty(n, dtype=np.int64)
+    picks = rng.random(n - 1)
     if m == 1:
-        return child - 1  # the root's one slot passes down a path
+        return np.arange(-1, n - 1)  # the root's one slot passes down a path
+    picks *= (m - 1) * np.arange(1, n) + 1  # the free slots
+    picks = picks.astype(np.int64)
     by_slot = _stable_order(picks)
-    slot = picks[by_slot]
-    parent = np.where(slot < m, 0, (slot - m) // (m - 1) + 1)
+    slot = picks.take(by_slot)
+    del picks
     again = np.flatnonzero(slot[1:] == slot[:-1]) + 1
-    parent[again] = by_slot[again - 1] + 1
-    parents = np.empty_like(parent)
+    # In place, each slot's creator: the root below m, else vertex
+    # (slot - m) // (m - 1) + 1; then a repeated slot's previous pick.
+    parent = slot
+    parent -= m
+    parent //= m - 1
+    parent += 1
+    np.maximum(parent, 0, out=parent)
+    by_slot += 1  # the vertex behind each pick
+    parent[again] = by_slot[again - 1]
+    parents[0] = -1
     parents[by_slot] = parent
     return parents
 
@@ -367,12 +395,14 @@ def sample_pa_tree(params: PAParams, n: int, rng: np.random.Generator) -> Rooted
     if params.chi == -1 and (int(params.rho) - 1) * (int(n) - 1) + 1 > MAX_TREE_SIZE:
         raise InvalidParams(f"chi = -1 at rho = {params.rho:g}, n = {n} needs over 2^53 slots")
     if params.chi == 0:
-        picks = (rng.random(n - 1) * np.arange(1, n)).astype(np.int64)
+        picks = rng.random(n - 1)
+        picks *= np.arange(1, n)
+        parents = np.concatenate(([-1], picks), dtype=np.int64, casting="unsafe")
     elif params.chi == 1:
-        picks = _copy_attach(params.rho, n, rng)
+        parents = _copy_attach(params.rho, n, rng)
     else:
-        picks = _slot_attach(int(params.rho), n, rng)
-    return build_from_parents(np.concatenate(([-1], picks)))
+        parents = _slot_attach(int(params.rho), n, rng)
+    return _adopt(parents)
 
 
 # ---------------------------------------------------------------------------

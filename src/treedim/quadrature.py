@@ -12,6 +12,7 @@ grid reaches ``MAX_DEPTH`` at either tolerance; the cap is only a backstop.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -21,7 +22,9 @@ MAX_DEPTH = 60
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances for the adaptive integrator."""
+    """Tolerances for the adaptive integrator.  A ``rel_tol`` below float64's
+    epsilon, 2^-52, is refused: below about 1.5e-17 only a cell whose
+    ``delta`` is exactly 0 passes, and the refinement heads for ``MAX_DEPTH``."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
@@ -29,6 +32,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if not (0 < self.rel_tol < 1 and 0 < self.abs_tol < math.inf):
             raise DomainError("quadrature tolerances must be finite, positive, rel_tol < 1")
+        if self.rel_tol < sys.float_info.epsilon:
+            raise DomainError(f"rel_tol must be >= 2^-52 (float64 epsilon), got {self.rel_tol!r}")
 
 
 DEFAULT_SPEC = QuadratureSpec()

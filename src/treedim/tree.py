@@ -43,8 +43,9 @@ class RootedTree:
     top of its leg; ``pk_flags[v]`` marks a branch vertex with a line child,
     which is a leg top's parent; ``line[v]`` flags a line subtree below
     ``v``; ``children[v]`` lists the children in ascending index order.
-    Use :func:`build_from_parents`; only ``sample_uniform_tree``, which
-    relabels a validated tree, constructs one directly.
+    Use :func:`build_from_parents` (or, handing over a fresh int64 array,
+    ``_adopt``); only ``sample_uniform_tree``, which relabels a validated
+    tree, constructs one directly.
     """
 
     parents: np.ndarray
@@ -177,7 +178,10 @@ def build_from_parents(parents) -> RootedTree:
 
     ``parents`` is either a sequence holding ``None`` at the root and an
     integer elsewhere, or a one-dimensional signed-integer ndarray holding
-    -1 at the root (any other negative entry is out of range).  Raises
+    -1 at the root (any other negative entry is out of range).  The tree
+    keeps its own read-only int64 copy, so the caller's array is neither
+    frozen nor shared; the samplers, which build a fresh int64 array, hand
+    it over to :func:`_adopt`, the validating core, without a copy.  Raises
     :class:`NoRoot`, :class:`MultipleRoots`, :class:`IndexOutOfRange` or
     :class:`CycleDetected` rather than returning a malformed tree: first
     for the smallest vertex whose own entry is bad (a second root, a
@@ -192,14 +196,21 @@ def build_from_parents(parents) -> RootedTree:
                 "parent array must be one-dimensional with a signed integer "
                 f"dtype, got {parents.ndim}-D {parents.dtype}"
             )
-        arr = parents.astype(np.int64)
-    else:
-        n = len(parents)
-        # Entries the sequence rules reject become n, which is out of range.
-        arr = np.array(
-            [-1 if p is None else p if _is_int(p) and 0 <= p < n else n for p in parents],
-            dtype=np.int64,
-        )
+        return _adopt(parents.astype(np.int64))
+    n = len(parents)
+    # Entries the sequence rules reject become n, which is out of range.
+    arr = np.array(
+        [-1 if p is None else p if _is_int(p) and 0 <= p < n else n for p in parents],
+        dtype=np.int64,
+    )
+    return _adopt(arr, parents)
+
+
+def _adopt(arr: np.ndarray, entries=None) -> RootedTree:
+    """:func:`build_from_parents`' checks on a one-dimensional int64 array
+    that the caller hands over: it is made read-only and becomes the tree's
+    ``parents``.  ``entries``, the sequence it was read from, if any,
+    supplies the bad entry for an error message."""
     arr.flags.writeable = False
     n = arr.size
     if n == 0:
@@ -214,8 +225,8 @@ def build_from_parents(parents) -> RootedTree:
     bad[roots[1:]] = True
     if bad.any():
         v = int(bad.argmax())
-        if not isinstance(parents, np.ndarray):
-            p = parents[v]
+        if entries is not None:
+            p = entries[v]
         else:
             p = None if arr[v] == -1 else int(arr[v])
         if p is None:

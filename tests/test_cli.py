@@ -235,7 +235,7 @@ class TestConstant:
         pmf.write_text("\n0.5\n  \n0\n\n0.5\n\n")
         assert run(capsys, "constant", "--model", "gw", "--pmf", str(pmf)) == expected
 
-    @pytest.mark.parametrize("tol", ["inf", "1e300"])
+    @pytest.mark.parametrize("tol", ["inf", "1e300", "1e-18"])
     def test_useless_tolerance_refused(self, capsys, tol):
         code, out, err = run(capsys, "constant", "--model", "rrt", "--tol", tol)
         assert code == 2 and err.startswith("error:") and out == ""

@@ -1,5 +1,6 @@
 import inspect
 import math
+import sys
 
 import pytest
 import scipy.integrate
@@ -133,12 +134,25 @@ class TestQuadrature:
             QuadratureSpec(rel_tol=-1)
 
     @pytest.mark.parametrize(
-        "kwargs", [{"rel_tol": math.inf}, {"abs_tol": math.inf}, {"rel_tol": 1.0}]
+        "kwargs",
+        [
+            {"rel_tol": math.inf},
+            {"abs_tol": math.inf},
+            {"rel_tol": 1.0},
+            {"rel_tol": 1e-18},
+            {"rel_tol": 5e-324},
+        ],
     )
     def test_spec_rejects_useless_tolerances(self, kwargs):
-        # Each would accept the first Simpson cell whatever its error.
+        # The first three would accept the first Simpson cell whatever its
+        # error; the last two accept only a cell whose delta is exactly 0.
         with pytest.raises(DomainError):
             QuadratureSpec(**kwargs)
+
+    def test_rel_tol_floor_is_float64_epsilon(self):
+        QuadratureSpec(rel_tol=sys.float_info.epsilon)
+        with pytest.raises(DomainError, match=r"2\^-52"):
+            QuadratureSpec(rel_tol=sys.float_info.epsilon / 2)
 
     @pytest.mark.parametrize(
         "f,a,b",

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 from itertools import product
@@ -13,9 +14,12 @@ from hypothesis import strategies as st
 
 from treedim import (
     CMJTree,
+    GWModel,
     OffspringPmf,
+    PAModel,
     PAParams,
     RngSpec,
+    UniformModel,
     count_subtree_property,
     fringe_size_counts,
     gw_pk_prob,
@@ -483,8 +487,7 @@ class TestPATree:
             a, b = u0[v - 1], u1[v - 1]
             direct = a * (rho * v + v - 1) < rho * v
             parents.append(int(b * v) if direct else parents[int(1 + b * (v - 1))])
-        picks = generators._copy_attach(rho, n, RngSpec(22).stream(n))
-        assert picks.tolist() == parents[1:]
+        assert generators._copy_attach(rho, n, RngSpec(22).stream(n)).tolist() == parents
 
 
 class TestCMJ:
@@ -708,8 +711,28 @@ class TestGoldenStreams:
         "cmj(1.0,1)": "26ed5952c2ddb7667f16b8aa0cd69eff4f74fe62bac1d41c34ec41b0ba16182b",
     }
 
+    # At n = 2^17 the slot sort takes a second 16-bit pass and the copy
+    # chains run long.  The event-queue sampler cmj is not pinned there.
+    LARGE = 2**17
+    LARGE_DIGESTS = {
+        "gw-geometric": "fd1dee44a95153e477d96bdefa484f2da8e56591c2bceed7d867de4e060c3e68",
+        "gw-poisson": "3ac46b244a42b974f583f277e9034db451c507ef3c3883314a061c853fb1e0a7",
+        "pa(0.1,1)": "3cea2eb30736e6cafbd2dcc0c233ffbc42bef68d545ed7e738941c05e588becb",
+        "pa(0.5,1)": "7f7315223e2f0a10a1bed44e6f98548388202bb9b1c22ed4864d32648e3d2bd1",
+        "pa(1.0,0)": "6682f7c10d8c1c8899d0e2de8a0fd70fb0f1726efd3e0c4ad0f882ac5ace0174",
+        "pa(1.0,1)": "716fe0bdfd1ee80ca80e9ba9ecfb2d181df0df7e1199ccf36c6cfbe69c8b02d1",
+        "pa(2.0,-1)": "ff32982d5a4d13025a5c80537aae698280fc8231890a170884c06fa0e4401abb",
+        "pa(2.0,1)": "ece32543ef56d3420ed0c28d9f843b2545221edf1385b8d00b71d4f88a582c85",
+        "pa(3.0,-1)": "b90666be5bdb5d1b8390b880ea2070b95ad5be939beedb4369428fcb8a7ea39e",
+        "pa(4.0,-1)": "d59c75c3b3c4cccb1893a958f1015966aebd451cd2cf67d34fe5df9d576c3f96",
+        "pa(5.0,-1)": "fde9d44fbca92707d520f55c59330155058f577f31c685b241422a7882d6cb6c",
+        "uniform": "641b1ea092efa1371b3af7ed262915a01b20969fcbf9ef0d51c7c036fa2702c9",
+        "uniform-shape": "921f138ca15a7e87f264dff13126d839e7646eb73858c8a4df4e775c386fe69c",
+    }
+
     def test_every_sampler_is_pinned(self):
         assert set(self.DIGESTS) == set(SAMPLERS)
+        assert set(self.LARGE_DIGESTS) == {k for k in SAMPLERS if not k.startswith("cmj")}
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
     def test_digest(self, name):
@@ -718,6 +741,42 @@ class TestGoldenStreams:
             tree = SAMPLERS[name](n, RngSpec(self.SEED).stream(n))
             digest.update(serialize(tree).encode())
         assert digest.hexdigest() == self.DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(LARGE_DIGESTS))
+    def test_large_digest(self, name):
+        tree = SAMPLERS[name](self.LARGE, RngSpec(self.SEED).stream(self.LARGE))
+        assert hashlib.sha256(serialize(tree).encode()).hexdigest() == self.LARGE_DIGESTS[name]
+
+
+class TestMemory:
+    """The traced peak (numpy's allocations under ``tracemalloc``) of a
+    trial's shape and its ``md_report``, in bytes per vertex.  The samplers
+    build their parent arrays in place; when they copied them, the peaks
+    were 38-73 bytes per vertex."""
+
+    N = 2**16
+    BUDGET = 44  # bytes per vertex
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            GWModel(POISSON),
+            UniformModel(),
+            PAModel(PAParams(2.0, -1)),
+            PAModel(PAParams(1.0, 0)),
+            PAModel(PAParams(1.0, 1)),
+        ],
+        ids=["gw-poisson", "uniform", "bst", "rrt", "pa-1-1"],
+    )
+    def test_shape_and_report_peak_per_vertex(self, model):
+        rng = RngSpec(33).stream(0)
+        tracemalloc.start()
+        try:
+            md_report(model.shape(self.N, rng))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / self.N <= self.BUDGET
 
 
 class TestExactLaws:
